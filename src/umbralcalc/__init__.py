@@ -1,7 +1,8 @@
 """Exact umbral-calculus engine and special-polynomial library.
 
-Arithmetic is exact rational throughout: dense polynomials over
-`fractions.Fraction`, truncated formal power series with explicit
+Arithmetic is exact rational throughout: dense polynomials over the
+rationals (integer numerators over one common denominator, with
+`fractions.Fraction` at the interface), truncated formal power series with explicit
 truncation orders, the umbral pairing and operator action, Sheffer
 sequences and connection constants, generators for the Bernoulli, Euler,
 Frobenius-Euler, poly-Bernoulli, and mixed-type families, and a suite of

@@ -226,7 +226,9 @@ def polys_from_kernel(kernel: TruncatedSeries, n_max: int) -> list:
     """Polynomials p_n(x) = n! [t^n] kernel * e^{x t} for n = 0..n_max."""
     if n_max > kernel.order:
         raise ValueError("kernel truncation order is too small")
-    product = kernel * exp_series(X, kernel.order)
+    # polynomial factor on the left: its coefficient products then dispatch
+    # to Polynomial directly instead of through Fraction's fallback
+    product = exp_series(X, kernel.order) * kernel
     polys = []
     for n in range(n_max + 1):
         c = product.coefficient(n)

@@ -9,12 +9,15 @@ comparisons are exact rational equality; there is no tolerance anywhere.
 Grids are traversed in a fixed documented order (r, then k, then lambda,
 then the extra axes, then the degree n), so the first counterexample of a
 failing sweep is deterministic.  Grid points are independent pure
-computations; with ``jobs > 1`` they are evaluated in a process pool and
-joined back in traversal order, which keeps reports order-stable.
+computations; with ``jobs > 1`` they are evaluated in a process pool of
+at most ``min(jobs, cpu count, task count)`` workers and joined back in
+traversal order, which keeps reports order-stable.  A fail-fast sweep
+cancels the tasks not yet started once a counterexample arrives.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, factorial
@@ -75,9 +78,12 @@ __all__ = [
 class SweepGrid:
     """Parameter grid for identity sweeps.
 
-    The lambda sweep of five rational points with degrees up to 12
-    certifies identities that are rational in lambda (at least deg + 1
-    distinct sample points over an infinite field).
+    A sweep checks a finite sample of parameter points, so a passing
+    report is evidence, not a certificate.  Agreement at deg + 1 distinct
+    points would certify an identity that is polynomial of known degree in
+    a parameter, but the default grid does not reach that bound: with
+    u = 1/(1 - lambda), T_12 at (r = 3, k = -3) has u-degree 12, and five
+    lambda points certify only u-degree <= 4.
     """
 
     n_min: int = 0
@@ -148,15 +154,20 @@ def _sweep(identity, grid_desc, tasks, worker, collect_all, jobs) -> Verificatio
     started = perf_counter()
     failures = []
     checked = 0
-    if jobs > 1 and len(tasks) > 1:
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
             for task_checked, task_failures in pool.map(worker, tasks):
                 checked += task_checked
                 failures.extend(task_failures)
                 if failures and not collect_all:
                     break
+        finally:
+            # after a fail-fast break, drop the tasks no worker has started
+            pool.shutdown(cancel_futures=True)
     else:
         for task in tasks:
             task_checked, task_failures = worker(task)

@@ -1,11 +1,17 @@
 """Exact rational scalars and dense univariate polynomials in x.
 
-Scalars are `fractions.Fraction` throughout, which already maintains the
-canonical form this library relies on (positive denominator, reduced to
-lowest terms, zero as 0/1), so equality is plain structural comparison.
+Scalars are `fractions.Fraction` throughout the public interface, which
+already maintains the canonical form this library relies on (positive
+denominator, reduced to lowest terms, zero as 0/1).
 
-A polynomial is stored dense, lowest power first, trailing zeros trimmed.
-The zero polynomial has an empty coefficient tuple and degree -1.  Values
+A polynomial is stored fraction-free, in the layout of FLINT's
+``fmpq_poly``: a tuple of integer numerators, lowest power first, over one
+positive common denominator.  The form is canonical -- trailing zero
+numerators trimmed, ``gcd(den, *num) == 1``, the zero polynomial stored as
+``((), 1)`` with degree -1 -- so equality is plain structural comparison,
+and every operation normalises its result with a single gcd instead of one
+per coefficient.  `Fraction` values are made only where coefficients leave
+the class (`coefficients`, `coefficient`, evaluation, rendering).  Values
 are immutable: every operation returns a new polynomial, so instances can
 be shared freely across threads.
 """
@@ -13,10 +19,13 @@ be shared freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
+from operator import mul
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
+
+_RATIONAL = (int, Fraction)
 
 __all__ = [
     "Polynomial",
@@ -42,6 +51,64 @@ def format_rational(value: Scalar) -> str:
     return str(Fraction(value))
 
 
+def _common_denominator(values) -> tuple:
+    """(integer numerators, positive common denominator) of ints and
+    Fractions."""
+    ratios = [c.as_integer_ratio() for c in values]
+    den = lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
+
+
+def _normalised(num: list, den: int) -> tuple:
+    """(numerators, denominator) in canonical form, for numerators ``num``
+    (consumed) over the positive denominator ``den``."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return (), 1
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return tuple(num), den
+
+
+def _make(num: list, den: int) -> "Polynomial":
+    """The canonical polynomial num/den; ``num`` is consumed."""
+    poly = object.__new__(Polynomial)
+    poly._num, poly._den = _normalised(num, den)
+    return poly
+
+
+def _sum(a, da: int, b, db: int) -> "Polynomial":
+    """a/da + b/db for numerator sequences a, b."""
+    if da != db:
+        g = gcd(da, db)
+        sa, sb = db // g, da // g
+        a = [c * sa for c in a]
+        b = [c * sb for c in b]
+        da *= sa
+    if len(a) < len(b):
+        a, b = b, a
+    out = [x + y for x, y in zip(a, b)]
+    out.extend(a[len(b):])
+    return _make(out, da)
+
+
+def _convolve(a, b) -> list:
+    """Coefficients of the product of two nonempty integer polynomials."""
+    if len(a) < len(b):
+        a, b = b, a
+    lb = len(b)
+    rb = b[::-1]
+    # out[k] = sum_i a[i] b[k - i], with b reversed so both slices run forward
+    out = [sum(map(mul, a[: k + 1], rb[lb - 1 - k:])) for k in range(lb - 1)]
+    for k in range(lb - 1, len(a) + lb - 1):
+        out.append(sum(map(mul, a[k - lb + 1: k + 1], rb)))
+    return out
+
+
 class Polynomial:
     """Dense univariate polynomial over the rationals.
 
@@ -52,22 +119,12 @@ class Polynomial:
     the scalar it represents.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        items = [Fraction(c) for c in coeffs]
-        while items and not items[-1]:
-            items.pop()
-        self._coeffs = tuple(items)
-
-    @classmethod
-    def _make(cls, items: list) -> "Polynomial":
-        # internal fast path: items are already exact scalars
-        while items and not items[-1]:
-            items.pop()
-        poly = cls.__new__(cls)
-        poly._coeffs = tuple(items)
-        return poly
+        self._num, self._den = _normalised(
+            *_common_denominator([c if isinstance(c, _RATIONAL) else Fraction(c) for c in coeffs])
+        )
 
     @classmethod
     def monomial(cls, power: int, coeff: Scalar = 1) -> "Polynomial":
@@ -79,64 +136,74 @@ class Polynomial:
     @property
     def coefficients(self) -> tuple:
         """Coefficients lowest power first, trailing zeros trimmed."""
-        return self._coeffs
+        den = self._den
+        return tuple([Fraction(c, den) for c in self._num])
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self._num) - 1
 
     def coefficient(self, power: int) -> Fraction:
         """Coefficient of x**power (zero beyond the degree)."""
-        if 0 <= power < len(self._coeffs):
-            return self._coeffs[power]
+        if 0 <= power < len(self._num):
+            return Fraction(self._num[power], self._den)
         return Fraction(0)
 
     def __call__(self, point: Scalar) -> Fraction:
-        """Evaluate at an exact rational point (Horner)."""
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * point + c
-        return acc
+        """Evaluate at an exact rational point (Horner over the integers:
+        p(u/v) = (sum_i num_i u^i v^(deg-i)) / (v^deg den))."""
+        num = self._num
+        if not num:
+            return Fraction(0)
+        point = Fraction(point)
+        u, v = point.numerator, point.denominator
+        acc = num[-1]
+        scale = 1
+        for c in num[-2::-1]:
+            scale *= v
+            acc = acc * u + c * scale
+        return Fraction(acc, scale * self._den)
 
     def shift(self, offset: Scalar) -> "Polynomial":
-        """Return p(x + offset), computed by binomial expansion."""
+        """Return p(x + offset), computed by binomial expansion scaled by
+        v^deg for offset = u/v."""
         c = Fraction(offset)
-        if not c or not self._coeffs:
+        num = self._num
+        if not c or not num:
             return self
-        out = [Fraction(0)] * len(self._coeffs)
-        for i, a in enumerate(self._coeffs):
+        u, v = c.numerator, c.denominator
+        deg = len(num) - 1
+        u_pow, v_pow = [1], [1]
+        for _ in range(deg):
+            u_pow.append(u_pow[-1] * u)
+            v_pow.append(v_pow[-1] * v)
+        out = [0] * (deg + 1)
+        for i, a in enumerate(num):
             if not a:
                 continue
-            power = Fraction(1)
-            for j in range(i, -1, -1):
-                out[j] += a * comb(i, j) * power
-                power *= c
-        return Polynomial._make(out)
+            for j in range(i + 1):
+                out[j] += a * comb(i, j) * u_pow[i - j] * v_pow[deg - i + j]
+        return _make(out, self._den * v_pow[deg])
 
     def derivative(self) -> "Polynomial":
         """Formal derivative."""
-        return Polynomial._make([k * c for k, c in enumerate(self._coeffs) if k])
+        return _make([k * c for k, c in enumerate(self._num) if k], self._den)
 
     def __add__(self, other):
         if isinstance(other, Polynomial):
-            a, b = self._coeffs, other._coeffs
-            if len(a) < len(b):
-                a, b = b, a
-            out = list(a)
-            for i, c in enumerate(b):
-                out[i] += c
-            return Polynomial._make(out)
-        if isinstance(other, (int, Fraction)):
-            out = list(self._coeffs) or [Fraction(0)]
-            out[0] += other
-            return Polynomial._make(out)
+            return _sum(self._num, self._den, other._num, other._den)
+        if isinstance(other, _RATIONAL):
+            return _sum(self._num, self._den, (other.numerator,), other.denominator)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._make([-c for c in self._coeffs])
+        poly = object.__new__(Polynomial)
+        poly._num = tuple([-c for c in self._num])
+        poly._den = self._den
+        return poly
 
     def __sub__(self, other):
         if isinstance(other, (Polynomial, int, Fraction)):
@@ -148,21 +215,14 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            a, b = self._coeffs, other._coeffs
-            if not a or not b:
+            if not self._num or not other._num:
                 return Polynomial()
-            out = [Fraction(0)] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if not ai:
-                    continue
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] += ai * bj
-            return Polynomial._make(out)
-        if isinstance(other, (int, Fraction)):
+            return _make(_convolve(self._num, other._num), self._den * other._den)
+        if isinstance(other, _RATIONAL):
             if not other:
                 return Polynomial()
-            return Polynomial._make([c * other for c in self._coeffs])
+            p = other.numerator
+            return _make([c * p for c in self._num], self._den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -178,9 +238,9 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if self.degree > 0:
                 raise ValueError("only constant polynomials are invertible")
-            if not self._coeffs:
+            if not self._num:
                 raise ZeroDivisionError("division by the zero polynomial")
-            return Fraction(other) / self._coeffs[0]
+            return Fraction(other) / self.coefficient(0)
         return NotImplemented
 
     def __pow__(self, exponent: int):
@@ -198,32 +258,38 @@ class Polynomial:
         return result
 
     def __bool__(self):
-        return bool(self._coeffs)
+        return bool(self._num)
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self._coeffs == other._coeffs
-        if isinstance(other, (int, Fraction)):
-            if not self._coeffs:
+            return self._num == other._num and self._den == other._den
+        if isinstance(other, _RATIONAL):
+            num = self._num
+            if not num:
                 return other == 0
-            return len(self._coeffs) == 1 and self._coeffs[0] == other
+            return (
+                len(num) == 1
+                and num[0] == other.numerator
+                and self._den == other.denominator
+            )
         return NotImplemented
 
     def __hash__(self):
         # constant polynomials hash like the scalar they equal
-        if len(self._coeffs) <= 1:
-            return hash(self._coeffs[0] if self._coeffs else Fraction(0))
-        return hash(self._coeffs)
+        if len(self._num) <= 1:
+            return hash(Fraction(self._num[0], self._den) if self._num else 0)
+        return hash((self._num, self._den))
 
     def __repr__(self):
-        return f"Polynomial([{', '.join(str(c) for c in self._coeffs)}])"
+        return f"Polynomial([{', '.join(str(c) for c in self.coefficients)}])"
 
     def __str__(self):
-        if not self._coeffs:
+        coeffs = self.coefficients
+        if not coeffs:
             return "0"
         parts = []
-        for k in range(self.degree, -1, -1):
-            c = self._coeffs[k]
+        for k in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[k]
             if not c:
                 continue
             sign = "-" if c < 0 else "+"

@@ -13,15 +13,23 @@ Rational coefficients embed into the polynomial ring through the operator
 protocol, so series over the two rings mix freely; combining genuinely
 incompatible coefficient types raises TypeError from the coefficient
 arithmetic itself.
+
+Coefficients are stored as given, but the two quadratic loops,
+multiplication and inversion, run fraction-free when every coefficient is
+rational: they bring the coefficients to integer numerators over one
+common denominator, work on integers, and take one gcd per output
+coefficient.  Any other coefficient type goes through the generic ring
+loop, so the loop is chosen by the coefficient type alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import mul
 from typing import Iterable
 
-from .polynomials import to_json_value
+from .polynomials import _RATIONAL, _common_denominator, to_json_value
 
 __all__ = ["TruncatedSeries", "exp_series"]
 
@@ -30,6 +38,15 @@ def _coerce(value):
     if isinstance(value, int):
         return Fraction(value)
     return value
+
+
+def _over_common_denominator(coeffs) -> tuple | None:
+    """(integer numerators, positive common denominator) of rational
+    coefficients; None when some coefficient is not a rational."""
+    for c in coeffs:
+        if not isinstance(c, _RATIONAL):
+            return None
+    return _common_denominator(coeffs)
 
 
 class TruncatedSeries:
@@ -137,7 +154,16 @@ class TruncatedSeries:
             w = _coerce(other)
             return TruncatedSeries._make([c * w for c in self._coeffs], self._order)
         n = min(self._order, other._order)
-        a, b = self._coeffs, other._coeffs
+        a, b = self._coeffs[: n + 1], other._coeffs[: n + 1]
+        ints_a = _over_common_denominator(a)
+        ints_b = ints_a and _over_common_denominator(b)
+        if ints_b:
+            (a, da), (b, db) = ints_a, ints_b
+            den = da * db
+            return TruncatedSeries._make(
+                [Fraction(sum(map(mul, a[: i + 1], b[i::-1])), den) for i in range(n + 1)],
+                n,
+            )
         out = []
         for i in range(n + 1):
             acc = 0
@@ -157,6 +183,23 @@ class TruncatedSeries:
         c0 = self._coeffs[0]
         if not c0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
+        ints = _over_common_denominator(self._coeffs)
+        if ints:
+            # a = A/d with integer A: 1/a = d * sum_k N_k t^k / A_0^(k+1),
+            # where N_0 = 1 and N_k = -sum_{j=1..k} A_j N_{k-j} A_0^(j-1)
+            a, d = ints
+            a0 = a[0]
+            nums = [1]
+            a0_pow = [1]
+            out = [Fraction(d, a0)]
+            scale = a0
+            for k in range(1, self._order + 1):
+                nk = -sum(map(mul, map(mul, a[1: k + 1], nums[::-1]), a0_pow))
+                nums.append(nk)
+                a0_pow.append(a0_pow[-1] * a0)
+                scale *= a0
+                out.append(Fraction(d * nk, scale))
+            return TruncatedSeries._make(out, self._order)
         b0 = 1 / c0
         out = [b0]
         a = self._coeffs

@@ -37,7 +37,8 @@ class VerificationReport:
     ``status`` is "pass" exactly when no counterexample was found;
     ``counterexample`` holds the first failing parameter tuple together
     with both computed sides.  ``counterexamples`` carries every recorded
-    failure when a sweep ran in collect-all mode.
+    failure when a sweep ran in collect-all mode.  ``elapsed_ms`` is wall
+    time, kept out of `to_jsonable` so that reports are byte-deterministic.
     """
 
     identity: str
@@ -67,7 +68,6 @@ class VerificationReport:
         if len(self.counterexamples) > 1:
             out["counterexamples"] = list(self.counterexamples)
         out["checked"] = self.checked
-        out["elapsed_ms"] = round(self.elapsed_ms, 3)
         return out
 
 
@@ -149,7 +149,7 @@ def sheffer_polynomials(pair: ShefferPair, n_max: int) -> list:
         raise ValueError("pair truncation order must be at least n_max + 1")
     fbar = pair.f.comp_inverse()
     prefactor = pair.g.compose(fbar).invert()
-    generating = prefactor * exp_series(X, prefactor.order).compose(fbar)
+    generating = exp_series(X, prefactor.order).compose(fbar) * prefactor
     polys = []
     for n in range(n_max + 1):
         c = generating.coefficient(n)

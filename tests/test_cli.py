@@ -188,3 +188,13 @@ def test_latex_rendering_helpers():
     assert latex_polynomial(poly) == "x^{2} - x + \\frac{1}{6}"
     assert latex_polynomial(Polynomial()) == "0"
     assert latex_polynomial(Polynomial([0, Fraction(-2, 3)])) == "-\\frac{2}{3} x"
+
+
+def test_verify_stdout_is_byte_deterministic(capsys):
+    outputs = []
+    for _ in range(2):
+        assert main(["verify", "thm6", "--n-max", "6"]) == 0
+        outputs.append(capsys.readouterr().out.encode())
+    assert outputs[0] == outputs[1]
+    report = json.loads(outputs[0])
+    assert report["status"] == "pass" and "elapsed_ms" not in report

@@ -1,9 +1,11 @@
+import concurrent.futures
 import json
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from umbralcalc import identities
 from umbralcalc.identities import (
     DEFAULT_GRID,
     MINIMUM_DEGREE,
@@ -47,10 +49,7 @@ def test_each_verifier_passes_on_small_grid(identity):
 def test_reports_are_deterministic():
     first = verify_step_recurrence(_for("thm3"))
     second = verify_step_recurrence(_for("thm3"))
-    a, b = first.to_jsonable(), second.to_jsonable()
-    a.pop("elapsed_ms")
-    b.pop("elapsed_ms")
-    assert a == b
+    assert first.to_jsonable() == second.to_jsonable()
 
 
 def test_report_json_shape():
@@ -60,7 +59,9 @@ def test_report_json_shape():
     assert payload["status"] == "pass"
     assert "counterexample" not in payload
     assert payload["grid"]["n_max"] == 3
-    assert isinstance(payload["elapsed_ms"], float)
+    # wall time stays on the dataclass and out of the byte-deterministic JSON
+    assert "elapsed_ms" not in payload
+    assert isinstance(report.elapsed_ms, float)
 
 
 def test_degree_floors_are_enforced():
@@ -153,6 +154,66 @@ def test_sweep_parallel_first_counterexample_is_stable():
     tasks = [(i, (3, 5)) for i in range(8)]
     report = _sweep("toy", {"n_max": 7}, tasks, _flaky_worker, False, 4)
     assert report.counterexample["n"] == 3
+
+
+class _RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: runs tasks lazily in-process and
+    records the pool size, the results handed out and the shutdown."""
+
+    instances = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.handed_out = 0
+        self.shutdown_calls = []
+        _RecordingExecutor.instances.append(self)
+
+    def map(self, fn, iterable):
+        for item in iterable:
+            self.handed_out += 1
+            yield fn(item)
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.shutdown_calls.append(cancel_futures)
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    _RecordingExecutor.instances.clear()
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(identities.os, "cpu_count", lambda: 4)
+    return _RecordingExecutor.instances
+
+
+@pytest.mark.parametrize(
+    "jobs, n_tasks, expected",
+    [(64, 8, 4), (3, 8, 3), (64, 2, 2), (8, 1, None), (1, 8, None)],
+)
+def test_sweep_pool_size_is_bounded(fake_pool, jobs, n_tasks, expected):
+    tasks = [(i, ()) for i in range(n_tasks)]
+    report = _sweep("toy", {"n_max": 7}, tasks, _flaky_worker, False, jobs)
+    assert report.passed and report.checked == n_tasks
+    if expected is None:
+        assert fake_pool == []  # one worker's worth of tasks runs in-process
+    else:
+        assert [pool.max_workers for pool in fake_pool] == [expected]
+
+
+def test_sweep_fail_fast_cancels_queued_tasks(fake_pool):
+    tasks = [(i, (3, 5)) for i in range(210)]
+    report = _sweep("toy", {"n_max": 7}, tasks, _flaky_worker, False, 64)
+    assert report.counterexample["n"] == 3 and report.checked == 4
+    (pool,) = fake_pool
+    assert pool.handed_out == 4
+    assert pool.shutdown_calls == [True]
+
+
+def test_sweep_collect_all_drains_every_task(fake_pool):
+    tasks = [(i, (3, 5)) for i in range(8)]
+    report = _sweep("toy", {"n_max": 7}, tasks, _flaky_worker, True, 2)
+    assert [f["n"] for f in report.counterexamples] == [3, 5]
+    (pool,) = fake_pool
+    assert pool.handed_out == 8
 
 
 def test_default_grid_matches_documented_sweep():

@@ -1,0 +1,231 @@
+"""Independent oracles for the exact core.
+
+The library's polynomials and rational series are stored fraction-free
+(integer numerators over one common denominator).  These tests check them
+from outside that layout: against sympy's classical polynomials and
+Stirling numbers, against Kaneko's duality and closed form for
+poly-Bernoulli numbers of negative index, and against a plain
+`Fraction`-tuple reference implementation that lives only in this file.
+"""
+
+from fractions import Fraction
+from math import comb, factorial
+
+import pytest
+from hypothesis import given, strategies as st
+
+from umbralcalc.families import (
+    bernoulli_polys,
+    euler_polys,
+    poly_bernoulli_numbers,
+    stirling2_triangle,
+)
+from umbralcalc.polynomials import Polynomial
+from umbralcalc.series import TruncatedSeries, exp_series
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+coeff_lists = st.lists(rationals, max_size=7)
+invertible_lists = st.tuples(
+    rationals.filter(bool), st.lists(rationals, max_size=7)
+).map(lambda t: [t[0], *t[1]])
+
+
+# --- Fraction-tuple reference ------------------------------------------------
+
+def ref_trim(coeffs):
+    coeffs = [Fraction(c) for c in coeffs]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [Fraction(0)] * (n - len(a))
+    b = list(b) + [Fraction(0)] * (n - len(b))
+    return ref_trim(x + y for x, y in zip(a, b))
+
+
+def ref_neg(a):
+    return tuple(-x for x in a)
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_eval(a, point):
+    return sum((c * Fraction(point) ** i for i, c in enumerate(a)), Fraction(0))
+
+
+def ref_shift(a, offset):
+    out = [Fraction(0)] * len(a)
+    for i, c in enumerate(a):
+        for j in range(i + 1):
+            out[j] += c * comb(i, j) * Fraction(offset) ** (i - j)
+    return ref_trim(out)
+
+
+def ref_series_mul(a, b, order):
+    return tuple(
+        sum((a[j] * b[i - j] for j in range(i + 1)), Fraction(0)) for i in range(order + 1)
+    )
+
+
+def ref_series_invert(a):
+    out = [1 / Fraction(a[0])]
+    for k in range(1, len(a)):
+        out.append(-sum((a[j] * out[k - j] for j in range(1, k + 1)), Fraction(0)) / a[0])
+    return tuple(out)
+
+
+def padded(coeffs, order):
+    return [Fraction(c) for c in coeffs] + [Fraction(0)] * (order + 1 - len(coeffs))
+
+
+# --- sympy --------------------------------------------------------------------
+
+def _sympy_coefficients(expr, x):
+    import sympy
+
+    poly = sympy.Poly(expr, x)
+    return ref_trim(Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs()))
+
+
+def test_bernoulli_and_euler_polynomials_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    bern, eul = bernoulli_polys(10, 1), euler_polys(10, 1)
+    for n in range(11):
+        assert bern[n].coefficients == _sympy_coefficients(sympy.bernoulli(n, x), x)
+        assert eul[n].coefficients == _sympy_coefficients(sympy.euler(n, x), x)
+
+
+def test_stirling_triangle_matches_sympy():
+    pytest.importorskip("sympy")
+    from sympy.functions.combinatorial.numbers import stirling
+
+    triangle = stirling2_triangle(12)
+    for n in range(13):
+        for m in range(n + 1):
+            assert triangle[n][m] == int(stirling(n, m))
+
+
+# --- Kaneko's identities for poly-Bernoulli numbers of negative index --------
+
+def explicit_stirling2(n, m):
+    """S2(n, m) from the inclusion-exclusion sum, not the recurrence."""
+    total = sum((-1) ** i * comb(m, i) * (m - i) ** n for i in range(m + 1))
+    return total // factorial(m)
+
+
+def test_poly_bernoulli_duality():
+    # B_n^(-k) = B_k^(-n)
+    table = {k: poly_bernoulli_numbers(8, -k) for k in range(9)}
+    for n in range(9):
+        for k in range(9):
+            assert table[k][n] == table[n][k]
+
+
+def test_poly_bernoulli_closed_form():
+    # B_n^(-k) = sum_j (j!)^2 S2(n+1, j+1) S2(k+1, j+1)
+    for k in range(9):
+        numbers = poly_bernoulli_numbers(8, -k)
+        for n in range(9):
+            expected = sum(
+                factorial(j) ** 2 * explicit_stirling2(n + 1, j + 1) * explicit_stirling2(k + 1, j + 1)
+                for j in range(min(n, k) + 1)
+            )
+            assert numbers[n] == expected
+
+
+# --- Polynomial against the reference ----------------------------------------
+
+def assert_fraction_coefficients(p, expected):
+    assert p.coefficients == expected
+    assert all(type(c) is Fraction for c in p.coefficients)
+
+
+@given(coeff_lists, coeff_lists, rationals)
+def test_polynomial_ring_ops_match_reference(a, b, c):
+    p, q = Polynomial(a), Polynomial(b)
+    ra, rb = ref_trim(a), ref_trim(b)
+    assert_fraction_coefficients(p + q, ref_add(ra, rb))
+    assert_fraction_coefficients(p - q, ref_add(ra, ref_neg(rb)))
+    assert_fraction_coefficients(-p, ref_neg(ra))
+    assert_fraction_coefficients(p * q, ref_mul(ra, rb))
+    assert_fraction_coefficients(p + c, ref_add(ra, (c,)))
+    assert_fraction_coefficients(c - p, ref_add((c,), ref_neg(ra)))
+    assert_fraction_coefficients(c * p, ref_mul(ra, ref_trim([c])))
+    if c:
+        assert_fraction_coefficients(p / c, ref_mul(ra, (1 / c,)))
+
+
+@given(coeff_lists, rationals)
+def test_polynomial_eval_and_shift_match_reference(a, c):
+    p, ra = Polynomial(a), ref_trim(a)
+    value = p(c)
+    assert type(value) is Fraction and value == ref_eval(ra, c)
+    assert_fraction_coefficients(p.shift(c), ref_shift(ra, c))
+    for k in range(len(ra) + 2):
+        expected = ra[k] if k < len(ra) else Fraction(0)
+        assert type(p.coefficient(k)) is Fraction and p.coefficient(k) == expected
+
+
+@given(coeff_lists, coeff_lists)
+def test_equal_values_have_equal_repr_and_hash(a, b):
+    p, q = Polynomial(a), Polynomial(b)
+    for left, right in (((p * q), (q * p)), ((p + q) - q, p), (p * 6 / 6, p)):
+        assert left == right
+        assert hash(left) == hash(right)
+        assert repr(left) == repr(right)
+        assert str(left) == str(right)
+
+
+@given(rationals, coeff_lists)
+def test_constant_polynomial_hashes_like_its_scalar(c, a):
+    p = Polynomial(a)
+    for constant in (Polynomial([c]), p - p + c, Polynomial([c, 0, 0])):
+        assert constant == c
+        assert hash(constant) == hash(c)
+    assert hash(Polynomial()) == hash(0) == hash(Fraction(0))
+
+
+# --- rational TruncatedSeries against the reference --------------------------
+
+@given(st.lists(rationals, min_size=1, max_size=9), st.lists(rationals, min_size=1, max_size=9))
+def test_series_ring_ops_match_reference(a, b):
+    f, g = TruncatedSeries(a), TruncatedSeries(b)
+    n = min(f.order, g.order)
+    fa, gb = padded(a, f.order), padded(b, g.order)
+    assert (f * g).coefficients == ref_series_mul(fa, gb, n)
+    assert (f + g).coefficients == tuple(x + y for x, y in zip(fa[: n + 1], gb[: n + 1]))
+    assert (f - g).coefficients == tuple(x - y for x, y in zip(fa[: n + 1], gb[: n + 1]))
+    assert all(type(c) is Fraction for c in (f * g).coefficients)
+
+
+@given(invertible_lists)
+def test_series_invert_matches_reference(a):
+    inverse = TruncatedSeries(a).invert()
+    assert inverse.coefficients == ref_series_invert([Fraction(c) for c in a])
+    assert all(type(c) is Fraction for c in inverse.coefficients)
+
+
+def test_series_with_integer_and_polynomial_coefficients():
+    x = Polynomial([0, 1])
+    # the generic loop leaves integer zeros; such series are still rational
+    half_t2 = exp_series(x, 2) * TruncatedSeries([0, 0, Fraction(1, 2)], 2)
+    assert [type(c) for c in half_t2.coefficients] == [int, int, Fraction]
+    mixed = half_t2 + 1
+    assert (mixed * mixed).coefficients == (1, 0, 1)
+    assert mixed.invert().coefficients == (1, 0, Fraction(-1, 2))
+    # polynomial coefficients go through the generic ring loop
+    lifted = TruncatedSeries([Fraction(1), x, x * x], 2)
+    assert (lifted * lifted).coefficients == (1, 2 * x, 3 * x * x)
+    assert lifted.invert().coefficients == (1, -x, Polynomial())
