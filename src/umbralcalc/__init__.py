@@ -11,7 +11,6 @@ independently computed sides.
 """
 
 from .families import (
-    FamilyParams,
     bernoulli_numbers,
     bernoulli_poly,
     bernoulli_polys,
@@ -34,7 +33,6 @@ from .families import (
 )
 from .identities import (
     DEFAULT_GRID,
-    MINIMUM_DEGREE,
     VERIFIERS,
     SweepGrid,
     verify_all,

@@ -16,37 +16,36 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
 import sys
-from dataclasses import replace
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .families import (
-    SLACK_ENV,
-    FamilyParams,
-    bernoulli_kernel,
     bernoulli_polys,
-    default_order,
-    euler_kernel,
     euler_polys,
-    exp_minus_one,
-    frobenius_euler_kernel,
     frobenius_euler_polys,
     mixed_kernel,
     mixed_type_polys,
-    one_minus_exp_neg,
     poly_bernoulli_polys,
     stirling2_triangle,
 )
-from .identities import DEFAULT_GRID, MINIMUM_DEGREE, VERIFIERS, SweepGrid, verify_all
+from .identities import (
+    DEFAULT_GRID,
+    SPECS,
+    TARGETS,
+    VERIFIERS,
+    SweepGrid,
+    appell_pair,
+    verify_all,
+)
 from .polynomials import Polynomial, parse_rational
-from .series import TruncatedSeries
-from .umbral import ShefferPair, connection_constants
+from .umbral import connection_constants
 
-FAMILIES = ("bernoulli", "euler", "frobenius-euler", "poly-bernoulli", "mixed-T", "stirling2")
-TARGETS = ("bernoulli", "euler", "frobenius-euler", "falling", "rising")
 FORMATS = ("json", "csv", "latex")
 IDENTITIES = tuple(VERIFIERS) + ("all",)
 
@@ -174,37 +173,60 @@ def _emit_rows(rows, args, fields, latex_line) -> int:
 # ---------------------------------------------------------------------------
 # table / eval
 
-def _require(args, *names):
-    missing = [
-        {"lam": "--lambda", "mu": "--mu"}.get(name, f"--{name}")
-        for name in names
-        if getattr(args, name) is None
-    ]
-    if missing:
-        raise CliError(
-            f"family {args.family!r} needs {', '.join(missing)}"
-        )
+_FLAGS = {"lam": "--lambda", "mu": "--mu"}
+
+
+def _flags(names) -> list:
+    return [_FLAGS.get(name, f"--{name}") for name in names]
+
+
+@dataclass(frozen=True)
+class Family:
+    """A polynomial family of the table and eval commands: the arguments
+    it needs, its members of degrees 0..n as ``polys(args, n)`` and the
+    LaTeX name of its degree-n member as ``label(args, n)``."""
+
+    needs: tuple
+    polys: Callable
+    label: Callable
+
+
+POLY_FAMILIES = {
+    "bernoulli": Family(
+        ("s",),
+        lambda a, n: bernoulli_polys(n, a.s),
+        lambda a, n: f"\\mathbb{{B}}^{{({a.s})}}_{{{n}}}(x)",
+    ),
+    "euler": Family(
+        ("s",),
+        lambda a, n: euler_polys(n, a.s),
+        lambda a, n: f"E^{{({a.s})}}_{{{n}}}(x)",
+    ),
+    "frobenius-euler": Family(
+        ("r", "lam"),
+        lambda a, n: frobenius_euler_polys(n, a.r, a.lam),
+        lambda a, n: f"H^{{({a.r})}}_{{{n}}}(x \\mid {latex_rational(a.lam)})",
+    ),
+    "poly-bernoulli": Family(
+        ("k",),
+        lambda a, n: poly_bernoulli_polys(n, a.k),
+        lambda a, n: f"B^{{({a.k})}}_{{{n}}}(x)",
+    ),
+    "mixed-T": Family(
+        ("r", "k", "lam"),
+        lambda a, n: mixed_type_polys(n, a.r, a.k, a.lam),
+        lambda a, n: f"T^{{({a.r},{a.k})}}_{{{n}}}(x \\mid {latex_rational(a.lam)})",
+    ),
+}
+FAMILIES = (*POLY_FAMILIES, "stirling2")
 
 
 def _family_polys(args, n_max: int) -> list:
-    family = args.family
-    params = FamilyParams(n=n_max, r=args.r, k=args.k, s=args.s, lam=args.lam)
-    if family == "bernoulli":
-        _require(args, "s")
-        return bernoulli_polys(params.n, params.s)
-    if family == "euler":
-        _require(args, "s")
-        return euler_polys(params.n, params.s)
-    if family == "frobenius-euler":
-        _require(args, "r", "lam")
-        return frobenius_euler_polys(params.n, params.r, params.lam)
-    if family == "poly-bernoulli":
-        _require(args, "k")
-        return poly_bernoulli_polys(params.n, params.k)
-    if family == "mixed-T":
-        _require(args, "r", "k", "lam")
-        return mixed_type_polys(params.n, params.r, params.k, params.lam)
-    raise CliError(f"family {family!r} has no polynomial table")
+    family = POLY_FAMILIES[args.family]
+    missing = _flags(name for name in family.needs if getattr(args, name) is None)
+    if missing:
+        raise CliError(f"family {args.family!r} needs {', '.join(missing)}")
+    return family.polys(args, n_max)
 
 
 def _param_cell(args, name):
@@ -225,22 +247,6 @@ def _family_row(args, n: int, coefficients: list) -> dict:
         "mu": None,
         "coefficients": coefficients,
     }
-
-
-def _table_latex_label(args, n: int) -> str:
-    family = args.family
-    if family == "bernoulli":
-        return f"\\mathbb{{B}}^{{({args.s})}}_{{{n}}}(x)"
-    if family == "euler":
-        return f"E^{{({args.s})}}_{{{n}}}(x)"
-    if family == "frobenius-euler":
-        return f"H^{{({args.r})}}_{{{n}}}(x \\mid {latex_rational(args.lam)})"
-    if family == "poly-bernoulli":
-        return f"B^{{({args.k})}}_{{{n}}}(x)"
-    return (
-        f"T^{{({args.r},{args.k})}}_{{{n}}}"
-        f"(x \\mid {latex_rational(args.lam)})"
-    )
 
 
 def _run_table(args) -> int:
@@ -268,7 +274,8 @@ def _run_table(args) -> int:
     ]
 
     def latex_line(row):
-        return f"{_table_latex_label(args, row['n'])} = {latex_polynomial(polys[row['n']])}"
+        label = POLY_FAMILIES[args.family].label(args, row["n"])
+        return f"{label} = {latex_polynomial(polys[row['n']])}"
 
     return _emit_rows(rows, args, ROW_FIELDS, latex_line)
 
@@ -289,37 +296,13 @@ def _run_eval(args) -> int:
 def _run_bases(args) -> int:
     if args.n_max < 0:
         raise CliError("--n-max must be nonnegative")
-    order = default_order(args.n_max)
-    source = ShefferPair(
-        mixed_kernel(args.r, args.k, args.lam, order).invert(),
-        TruncatedSeries.identity(order),
-    )
     target_name = args.target
-    if target_name == "bernoulli":
-        if args.s is None:
-            raise CliError("target 'bernoulli' needs --s")
-        target = ShefferPair(
-            bernoulli_kernel(args.s, order).invert(), TruncatedSeries.identity(order)
-        )
-    elif target_name == "euler":
-        if args.s is None:
-            raise CliError("target 'euler' needs --s")
-        target = ShefferPair(
-            euler_kernel(args.s, order).invert(), TruncatedSeries.identity(order)
-        )
-    elif target_name == "frobenius-euler":
-        if args.s is None or args.mu is None:
-            raise CliError("target 'frobenius-euler' needs --s and --mu")
-        target = ShefferPair(
-            frobenius_euler_kernel(args.s, args.mu, order).invert(),
-            TruncatedSeries.identity(order),
-        )
-    elif target_name == "falling":
-        target = ShefferPair(TruncatedSeries.constant(1, order), exp_minus_one(order))
-    else:
-        target = ShefferPair(TruncatedSeries.constant(1, order), one_minus_exp_neg(order))
-
-    constants = connection_constants(source, target, args.n_max)
+    target = TARGETS[target_name]
+    if any(getattr(args, name) is None for name in target.needs):
+        raise CliError(f"target {target_name!r} needs {' and '.join(_flags(target.needs))}")
+    order = max(args.n_max, 1)
+    source = appell_pair(mixed_kernel(args.r, args.k, args.lam, order))
+    constants = connection_constants(source, target.pair(args.s, args.mu, order), args.n_max)
     rows = []
     for n in range(args.n_max + 1):
         rows.append(
@@ -377,7 +360,7 @@ def _run_verify(args) -> int:
             grid = _build_grid(args, n_min=args.n_min if args.n_min is not None else 0)
             reports = verify_all(grid, collect_all=args.collect_all, jobs=args.jobs)
         else:
-            floor = MINIMUM_DEGREE.get(identity, 0)
+            floor = SPECS[identity].floor
             n_min = args.n_min if args.n_min is not None else floor
             grid = _build_grid(args, n_min=n_min)
             reports = iter([VERIFIERS[identity](grid, collect_all=args.collect_all, jobs=args.jobs)])
@@ -424,14 +407,13 @@ def _add_family_options(parser):
                         default=None, metavar="RAT", help='rational != 1, e.g. "2" or "-3/5"')
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="umbralcalc",
         description="Exact tables, evaluations, connection constants, and "
         "identity verification for the Frobenius-Euler / poly-Bernoulli "
         "polynomial families.",
-        epilog=f"The {SLACK_ENV} environment variable overrides the default "
-        "series truncation slack (2).",
     )
     _allow_negative_values(parser)
     sub = parser.add_subparsers(dest="command", required=True)

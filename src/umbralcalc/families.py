@@ -1,11 +1,13 @@
 """Generators for the classical polynomial and number families.
 
 Every family is produced from its exponential generating function through
-the series engine: expand the kernel to sufficient order, multiply by
-e^{x t} over the polynomial coefficient ring, and read off n! times the
-t^n coefficient.  Closed-form summation formulas for the same families
-live only in the identity suite, as an independent second computation
-path.
+the series engine: expand the kernel to order n, the largest degree asked
+for, multiply by e^{x t} over the polynomial coefficient ring, and read off
+n! times the t^n coefficient.  Truncation at order n is exact: the t^n
+coefficient of a product, inverse, power or composition depends only on
+the factors through t^n.  Closed-form summation formulas for the same
+families live only in the identity suite, as an independent second
+computation path.
 
 Kernels (all with constant term 1, so every family is monic):
 
@@ -23,8 +25,6 @@ integer index.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -32,9 +32,6 @@ from .polynomials import Polynomial, X
 from .series import TruncatedSeries, exp_series
 
 __all__ = [
-    "FamilyParams",
-    "truncation_slack",
-    "default_order",
     "require_not_one",
     "stirling2",
     "stirling2_triangle",
@@ -64,28 +61,6 @@ __all__ = [
     "mixed_type_numbers",
 ]
 
-SLACK_ENV = "UMBRALCALC_SLACK"
-
-
-def truncation_slack() -> int:
-    """Extra truncation orders beyond the requested degree (default 2);
-    overridable through the UMBRALCALC_SLACK environment variable."""
-    raw = os.environ.get(SLACK_ENV)
-    if raw is None:
-        return 2
-    try:
-        slack = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{SLACK_ENV} must be an integer, got {raw!r}") from exc
-    if slack < 1:
-        raise ValueError(f"{SLACK_ENV} must be >= 1, got {slack}")
-    return slack
-
-
-def default_order(n: int) -> int:
-    """Series truncation order used when generating degree-n families."""
-    return n + truncation_slack()
-
 
 def require_not_one(value, name: str) -> Fraction:
     value = Fraction(value)
@@ -102,28 +77,6 @@ def _require_degree(n: int) -> None:
 def _require_order_param(s: int) -> None:
     if s < 0:
         raise ValueError("order parameter must be nonnegative")
-
-
-@dataclass(frozen=True)
-class FamilyParams:
-    """Parameter bundle for family generation; validates the constraints
-    shared by every family (n, s >= 0; lambda, mu != 1)."""
-
-    n: int
-    r: int | None = None
-    k: int | None = None
-    s: int | None = None
-    lam: Fraction | None = None
-    mu: Fraction | None = None
-
-    def __post_init__(self):
-        _require_degree(self.n)
-        if self.s is not None:
-            _require_order_param(self.s)
-        if self.lam is not None:
-            object.__setattr__(self, "lam", require_not_one(self.lam, "lambda"))
-        if self.mu is not None:
-            object.__setattr__(self, "mu", require_not_one(self.mu, "mu"))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +200,7 @@ def numbers_from_kernel(kernel: TruncatedSeries, n_max: int) -> list:
 def bernoulli_polys(n_max: int, s: int) -> list:
     """Higher-order Bernoulli polynomials of order s, degrees 0..n_max."""
     _require_degree(n_max)
-    return polys_from_kernel(bernoulli_kernel(s, default_order(n_max)), n_max)
+    return polys_from_kernel(bernoulli_kernel(s, n_max), n_max)
 
 
 def bernoulli_poly(n: int, s: int) -> Polynomial:
@@ -257,13 +210,13 @@ def bernoulli_poly(n: int, s: int) -> Polynomial:
 def bernoulli_numbers(n_max: int) -> list:
     """Ordinary Bernoulli numbers B_0..B_{n_max} (B_1 = -1/2)."""
     _require_degree(n_max)
-    return numbers_from_kernel(bernoulli_kernel(1, default_order(n_max)), n_max)
+    return numbers_from_kernel(bernoulli_kernel(1, n_max), n_max)
 
 
 def euler_polys(n_max: int, s: int) -> list:
     """Higher-order Euler polynomials of order s, degrees 0..n_max."""
     _require_degree(n_max)
-    return polys_from_kernel(euler_kernel(s, default_order(n_max)), n_max)
+    return polys_from_kernel(euler_kernel(s, n_max), n_max)
 
 
 def euler_poly(n: int, s: int) -> Polynomial:
@@ -273,7 +226,7 @@ def euler_poly(n: int, s: int) -> Polynomial:
 def frobenius_euler_polys(n_max: int, r: int, lam) -> list:
     """Frobenius-Euler polynomials of order r at parameter lambda."""
     _require_degree(n_max)
-    return polys_from_kernel(frobenius_euler_kernel(r, lam, default_order(n_max)), n_max)
+    return polys_from_kernel(frobenius_euler_kernel(r, lam, n_max), n_max)
 
 
 def frobenius_euler_poly(n: int, r: int, lam) -> Polynomial:
@@ -282,13 +235,13 @@ def frobenius_euler_poly(n: int, r: int, lam) -> Polynomial:
 
 def frobenius_euler_numbers(n_max: int, r: int, lam) -> list:
     _require_degree(n_max)
-    return numbers_from_kernel(frobenius_euler_kernel(r, lam, default_order(n_max)), n_max)
+    return numbers_from_kernel(frobenius_euler_kernel(r, lam, n_max), n_max)
 
 
 def poly_bernoulli_polys(n_max: int, k: int) -> list:
     """Poly-Bernoulli polynomials of index k, degrees 0..n_max."""
     _require_degree(n_max)
-    return polys_from_kernel(poly_bernoulli_kernel(k, default_order(n_max)), n_max)
+    return polys_from_kernel(poly_bernoulli_kernel(k, n_max), n_max)
 
 
 def poly_bernoulli_poly(n: int, k: int) -> Polynomial:
@@ -297,14 +250,14 @@ def poly_bernoulli_poly(n: int, k: int) -> Polynomial:
 
 def poly_bernoulli_numbers(n_max: int, k: int) -> list:
     _require_degree(n_max)
-    return numbers_from_kernel(poly_bernoulli_kernel(k, default_order(n_max)), n_max)
+    return numbers_from_kernel(poly_bernoulli_kernel(k, n_max), n_max)
 
 
 def mixed_type_polys(n_max: int, r: int, k: int, lam) -> list:
     """Mixed-type Frobenius-Euler/poly-Bernoulli polynomials, degrees
     0..n_max, for integer orders r, k and rational lambda != 1."""
     _require_degree(n_max)
-    return polys_from_kernel(mixed_kernel(r, k, lam, default_order(n_max)), n_max)
+    return polys_from_kernel(mixed_kernel(r, k, lam, n_max), n_max)
 
 
 def mixed_type_poly(n: int, r: int, k: int, lam) -> Polynomial:
@@ -313,4 +266,4 @@ def mixed_type_poly(n: int, r: int, k: int, lam) -> Polynomial:
 
 def mixed_type_numbers(n_max: int, r: int, k: int, lam) -> list:
     _require_degree(n_max)
-    return numbers_from_kernel(mixed_kernel(r, k, lam, default_order(n_max)), n_max)
+    return numbers_from_kernel(mixed_kernel(r, k, lam, n_max), n_max)

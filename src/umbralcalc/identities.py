@@ -18,6 +18,7 @@ cancels the tasks not yet started once a counterexample arrives.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, factorial
@@ -27,7 +28,6 @@ from .families import (
     bernoulli_kernel,
     bernoulli_numbers,
     bernoulli_polys,
-    default_order,
     euler_kernel,
     euler_polys,
     exp_minus_one,
@@ -63,7 +63,9 @@ __all__ = [
     "SweepGrid",
     "DEFAULT_GRID",
     "VERIFIERS",
-    "MINIMUM_DEGREE",
+    "SPECS",
+    "TARGETS",
+    "appell_pair",
     "verify_closed_forms",
     "verify_step_recurrence",
     "verify_derived_recurrence",
@@ -73,6 +75,7 @@ __all__ = [
     "verify_foundations",
     "verify_all",
 ]
+
 
 @dataclass(frozen=True)
 class SweepGrid:
@@ -126,7 +129,7 @@ class SweepGrid:
 DEFAULT_GRID = SweepGrid()
 
 
-def _axes(grid: SweepGrid, with_s=False, with_mu=False) -> dict:
+def _axes(grid: SweepGrid, with_s_mu=False) -> dict:
     out = {
         "n_min": grid.n_min,
         "n_max": grid.n_max,
@@ -134,9 +137,8 @@ def _axes(grid: SweepGrid, with_s=False, with_mu=False) -> dict:
         "k": list(grid.k_values),
         "lambda": [str(v) for v in grid.lambda_values],
     }
-    if with_s:
+    if with_s_mu:
         out["s"] = list(grid.s_values)
-    if with_mu:
         out["mu"] = [str(v) for v in grid.mu_values]
     return out
 
@@ -250,19 +252,6 @@ def _closed_forms_task(task):
     return checked, failures
 
 
-def verify_closed_forms(grid: SweepGrid = DEFAULT_GRID, collect_all=False, jobs=1):
-    """Both closed-form expansions of the mixed family against the
-    generating-function values."""
-    ns = grid.degrees()
-    tasks = [
-        (r, k, lam, ns, collect_all)
-        for r in grid.r_values
-        for k in grid.k_values
-        for lam in grid.lambda_values
-    ]
-    return _sweep("thm1-2", _axes(grid), tasks, _closed_forms_task, collect_all, jobs)
-
-
 # ---------------------------------------------------------------------------
 # step recurrence (id "thm3")
 
@@ -290,19 +279,6 @@ def _step_recurrence_task(task):
             if not collect_all:
                 break
     return checked, failures
-
-
-def verify_step_recurrence(grid: SweepGrid = DEFAULT_GRID, collect_all=False, jobs=1):
-    """Recurrence producing degree n+1 from degree-n data, with the
-    Bernoulli-weighted index-lowering correction."""
-    ns = grid.degrees()
-    tasks = [
-        (r, k, lam, ns, collect_all)
-        for r in grid.r_values
-        for k in grid.k_values
-        for lam in grid.lambda_values
-    ]
-    return _sweep("thm3", _axes(grid), tasks, _step_recurrence_task, collect_all, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -334,21 +310,6 @@ def _derived_recurrence_task(task):
             if not collect_all:
                 break
     return checked, failures
-
-
-def verify_derived_recurrence(grid: SweepGrid = DEFAULT_GRID, collect_all=False, jobs=1):
-    """The differentiated form of the step recurrence; stated only for
-    degrees n >= 2, so grids reaching below that are rejected."""
-    if grid.n_min < 2:
-        raise ValueError("this identity requires degrees n >= 2; raise n_min")
-    ns = grid.degrees()
-    tasks = [
-        (r, k, lam, ns, collect_all)
-        for r in grid.r_values
-        for k in grid.k_values
-        for lam in grid.lambda_values
-    ]
-    return _sweep("thm4", _axes(grid), tasks, _derived_recurrence_task, collect_all, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -387,23 +348,6 @@ def _derivative_expansion_task(task):
     return checked, failures
 
 
-def verify_derivative_expansion(grid: SweepGrid = DEFAULT_GRID, collect_all=False, jobs=1):
-    """Degree-lowering formula with shifted Frobenius-Euler terms; stated
-    for degrees n >= 1."""
-    if grid.n_min < 1:
-        raise ValueError("this identity requires degrees n >= 1; raise n_min")
-    ns = grid.degrees()
-    tasks = [
-        (r, k, lam, ns, collect_all)
-        for r in grid.r_values
-        for k in grid.k_values
-        for lam in grid.lambda_values
-    ]
-    return _sweep(
-        "thm5", _axes(grid), tasks, _derivative_expansion_task, collect_all, jobs
-    )
-
-
 # ---------------------------------------------------------------------------
 # alternating binomial sum (id "thm6")
 
@@ -413,7 +357,7 @@ def _alternating_sum_task(task):
     t_nums = mixed_type_numbers(n_top, r, k, lam)
     pb_nums = poly_bernoulli_numbers(n_top, k - 1)
     h_nums = frobenius_euler_numbers(n_top, r, lam)
-    order = default_order(n_top + 1)
+    order = n_top + 1
     functional = frobenius_euler_kernel(r, lam, order) * polylog_series(k, order)
     failures = []
     checked = 0
@@ -445,49 +389,73 @@ def _alternating_sum_task(task):
     return checked, failures
 
 
-def verify_alternating_sum(grid: SweepGrid = DEFAULT_GRID, collect_all=False, jobs=1):
-    """Alternating binomial sum of mixed numbers against the
-    poly-Bernoulli/Frobenius-Euler convolution, with a third direct
-    pairing computation of the left side."""
-    ns = grid.degrees()
-    tasks = [
-        (r, k, lam, ns, collect_all)
-        for r in grid.r_values
-        for k in grid.k_values
-        for lam in grid.lambda_values
-    ]
-    return _sweep("thm6", _axes(grid), tasks, _alternating_sum_task, collect_all, jobs)
-
-
 # ---------------------------------------------------------------------------
 # basis expansions (id "bases")
 
+def appell_pair(kernel: TruncatedSeries) -> ShefferPair:
+    """The pair (1/kernel, t): its Sheffer sequence has the exponential
+    generating function kernel * e^{x t}."""
+    return ShefferPair(kernel.invert(), TruncatedSeries.identity(kernel.order))
+
+
+@dataclass(frozen=True)
+class Target:
+    """A target basis of the connection constants: the parameters it is
+    indexed by (a subset of s and mu), its Sheffer pair as
+    ``pair(s, mu, order)`` and its members of degrees 0..n as
+    ``basis(s, mu, n)``.  A pair needs order >= 1 to hold a delta series."""
+
+    needs: tuple
+    pair: Callable
+    basis: Callable
+
+
+#: The Sheffer bases the mixed family is expanded in, in sweep order.
+TARGETS = {
+    "bernoulli": Target(
+        ("s",),
+        lambda s, mu, order: appell_pair(bernoulli_kernel(s, order)),
+        lambda s, mu, n: bernoulli_polys(n, s),
+    ),
+    "euler": Target(
+        ("s",),
+        lambda s, mu, order: appell_pair(euler_kernel(s, order)),
+        lambda s, mu, n: euler_polys(n, s),
+    ),
+    "frobenius-euler": Target(
+        ("s", "mu"),
+        lambda s, mu, order: appell_pair(frobenius_euler_kernel(s, mu, order)),
+        lambda s, mu, n: frobenius_euler_polys(n, s, mu),
+    ),
+    "falling": Target(
+        (),
+        lambda s, mu, order: ShefferPair(
+            TruncatedSeries.constant(1, order), exp_minus_one(order)
+        ),
+        lambda s, mu, n: [falling_factorial(m) for m in range(n + 1)],
+    ),
+    "rising": Target(
+        (),
+        lambda s, mu, order: ShefferPair(
+            TruncatedSeries.constant(1, order), one_minus_exp_neg(order)
+        ),
+        lambda s, mu, n: [rising_factorial(m) for m in range(n + 1)],
+    ),
+}
+
+
 def _basis_instances(grid: SweepGrid, n_top: int) -> dict:
     """Target data shared by every (r, k, lambda) task: basis polynomials
-    and Sheffer pairs per basis instance, in sweep order."""
-    order = default_order(n_top)
-    identity_f = TruncatedSeries.identity(order)
+    and Sheffer pairs per basis instance, in sweep order (targets in table
+    order, each over s and then mu where it is indexed by them)."""
+    order = max(n_top, 1)
     instances = []
-    for s in grid.s_values:
-        pair = ShefferPair(bernoulli_kernel(s, order).invert(), identity_f)
-        instances.append(("bernoulli", s, None, bernoulli_polys(n_top, s), pair))
-    for s in grid.s_values:
-        pair = ShefferPair(euler_kernel(s, order).invert(), identity_f)
-        instances.append(("euler", s, None, euler_polys(n_top, s), pair))
-    for s in grid.s_values:
-        for mu in grid.mu_values:
-            pair = ShefferPair(frobenius_euler_kernel(s, mu, order).invert(), identity_f)
-            instances.append(
-                ("frobenius-euler", s, mu, frobenius_euler_polys(n_top, s, mu), pair)
-            )
-    fall_pair = ShefferPair(TruncatedSeries.constant(1, order), exp_minus_one(order))
-    instances.append(
-        ("falling", None, None, [falling_factorial(m) for m in range(n_top + 1)], fall_pair)
-    )
-    rise_pair = ShefferPair(TruncatedSeries.constant(1, order), one_minus_exp_neg(order))
-    instances.append(
-        ("rising", None, None, [rising_factorial(m) for m in range(n_top + 1)], rise_pair)
-    )
+    for name, target in TARGETS.items():
+        for s in grid.s_values if "s" in target.needs else (None,):
+            for mu in grid.mu_values if "mu" in target.needs else (None,):
+                instances.append(
+                    (name, s, mu, target.basis(s, mu, n_top), target.pair(s, mu, order))
+                )
     return {
         "order": order,
         "n_top": n_top,
@@ -548,7 +516,7 @@ def _basis_task(task):
     kernel = mixed_kernel(r, k, lam, order)
     t_polys = polys_from_kernel(kernel, n_top)
     t_nums = numbers_from_kernel(kernel, n_top)
-    source = ShefferPair(kernel.invert(), TruncatedSeries.identity(order))
+    source = appell_pair(kernel)
     values = [
         [t_polys[i](j) for j in range(shared["s_max"] + 1)] for i in range(n_top + 1)
     ]
@@ -598,32 +566,6 @@ def _basis_task(task):
     return checked, failures
 
 
-def verify_basis_expansions(grid: SweepGrid = DEFAULT_GRID, collect_all=False, jobs=1):
-    """Expansion of the mixed family in five Sheffer bases, with the
-    connection constants computed three ways: closed-form summation,
-    umbral pairing, and an exact triangular solve.
-
-    Basis instances (bernoulli and euler per s, frobenius-euler per
-    (s, mu), then falling and rising factorials) are swept inside each
-    (r, k, lambda) point."""
-    ns = grid.degrees()
-    shared = _basis_instances(grid, max(ns))
-    tasks = [
-        (r, k, lam, ns, collect_all, shared)
-        for r in grid.r_values
-        for k in grid.k_values
-        for lam in grid.lambda_values
-    ]
-    return _sweep(
-        "bases",
-        _axes(grid, with_s=True, with_mu=True),
-        tasks,
-        _basis_task,
-        collect_all,
-        jobs,
-    )
-
-
 # ---------------------------------------------------------------------------
 # foundations (id "foundations")
 
@@ -638,7 +580,7 @@ def _foundations_task(task):
     h_nums = frobenius_euler_numbers(n_top, r, lam)
     s2 = stirling2_triangle(n_top)
     powers = _shifted_power_table(n_top)
-    operator = poly_bernoulli_kernel(k, default_order(n_top))
+    operator = poly_bernoulli_kernel(k, n_top)
     inv_weights = [Fraction(m + 1) ** (-k) for m in range(n_top + 1)]
     failures = []
     checked = 0
@@ -702,36 +644,83 @@ def _foundations_task(task):
     return checked, failures
 
 
-def verify_foundations(grid: SweepGrid = DEFAULT_GRID, collect_all=False, jobs=1):
-    """Structural facts the other verifiers build on: the derivative
-    rule, both convolutions, the two poly-Bernoulli actions on monomials
-    against the operator route, the binomial expansion, and the order-zero
-    degeneration."""
+# ---------------------------------------------------------------------------
+# registry
+
+@dataclass(frozen=True)
+class VerifierSpec:
+    """One row of the verifier table: the task run per (r, k, lambda)
+    point, the smallest degree the identity is stated for, whether the
+    report's grid lists the s and mu axes, and an optional builder of data
+    shared by every task, called as ``shared(grid, n_top)``."""
+
+    task: Callable
+    floor: int = 0
+    with_s_mu: bool = False
+    shared: Callable | None = None
+
+
+#: The verifier table, in report order.
+SPECS = {
+    # both closed-form expansions of the mixed family against the
+    # generating-function values
+    "thm1-2": VerifierSpec(_closed_forms_task),
+    # degree n+1 from degree-n data, with the Bernoulli-weighted
+    # index-lowering correction
+    "thm3": VerifierSpec(_step_recurrence_task),
+    # the differentiated form of the step recurrence
+    "thm4": VerifierSpec(_derived_recurrence_task, floor=2),
+    # degree-lowering formula with shifted Frobenius-Euler terms
+    "thm5": VerifierSpec(_derivative_expansion_task, floor=1),
+    # alternating binomial sum of mixed numbers against the
+    # poly-Bernoulli/Frobenius-Euler convolution, plus a direct pairing
+    "thm6": VerifierSpec(_alternating_sum_task),
+    # expansion in every target basis, with the connection constants
+    # computed three ways: closed-form summation, umbral pairing and an
+    # exact triangular solve; basis instances are swept inside each point
+    "bases": VerifierSpec(_basis_task, with_s_mu=True, shared=_basis_instances),
+    # the derivative rule, both convolutions, the binomial expansion, the
+    # two poly-Bernoulli actions on monomials against the operator route,
+    # and the order-zero degeneration
+    "foundations": VerifierSpec(_foundations_task),
+}
+
+
+def _verify(identity, grid, collect_all, jobs) -> VerificationReport:
+    """Sweep one identity over the (r, k, lambda) points of the grid;
+    grids reaching below the identity's stated degrees are rejected."""
+    spec = SPECS[identity]
+    if grid.n_min < spec.floor:
+        raise ValueError(f"this identity requires degrees n >= {spec.floor}; raise n_min")
     ns = grid.degrees()
+    shared = () if spec.shared is None else (spec.shared(grid, max(ns)),)
     tasks = [
-        (r, k, lam, ns, collect_all)
+        (r, k, lam, ns, collect_all, *shared)
         for r in grid.r_values
         for k in grid.k_values
         for lam in grid.lambda_values
     ]
-    return _sweep("foundations", _axes(grid), tasks, _foundations_task, collect_all, jobs)
+    axes = _axes(grid, spec.with_s_mu)
+    return _sweep(identity, axes, tasks, spec.task, collect_all, jobs)
 
 
-# ---------------------------------------------------------------------------
-# registry
+def _verifier(identity):
+    def verify(grid: SweepGrid = DEFAULT_GRID, collect_all=False, jobs=1):
+        return _verify(identity, grid, collect_all, jobs)
 
-VERIFIERS = {
-    "thm1-2": verify_closed_forms,
-    "thm3": verify_step_recurrence,
-    "thm4": verify_derived_recurrence,
-    "thm5": verify_derivative_expansion,
-    "thm6": verify_alternating_sum,
-    "bases": verify_basis_expansions,
-    "foundations": verify_foundations,
-}
+    verify.__doc__ = f"Run the {identity!r} verifier over the grid."
+    return verify
 
-#: Smallest degree an identity is stated for; verify_all clamps grids to it.
-MINIMUM_DEGREE = {"thm4": 2, "thm5": 1}
+
+VERIFIERS = {identity: _verifier(identity) for identity in SPECS}
+
+verify_closed_forms = VERIFIERS["thm1-2"]
+verify_step_recurrence = VERIFIERS["thm3"]
+verify_derived_recurrence = VERIFIERS["thm4"]
+verify_derivative_expansion = VERIFIERS["thm5"]
+verify_alternating_sum = VERIFIERS["thm6"]
+verify_basis_expansions = VERIFIERS["bases"]
+verify_foundations = VERIFIERS["foundations"]
 
 
 def verify_all(grid: SweepGrid = DEFAULT_GRID, collect_all=False, jobs=1):
@@ -742,7 +731,7 @@ def verify_all(grid: SweepGrid = DEFAULT_GRID, collect_all=False, jobs=1):
     reported as a vacuous pass.
     """
     for identity, verifier in VERIFIERS.items():
-        floor = MINIMUM_DEGREE.get(identity, 0)
+        floor = SPECS[identity].floor
         if grid.n_max < floor:
             yield VerificationReport(
                 identity=identity,

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from umbralcalc.cli import latex_polynomial, latex_rational, main
 from umbralcalc.polynomials import Polynomial
 from fractions import Fraction
@@ -198,3 +200,97 @@ def test_verify_stdout_is_byte_deterministic(capsys):
     assert outputs[0] == outputs[1]
     report = json.loads(outputs[0])
     assert report["status"] == "pass" and "elapsed_ms" not in report
+
+
+FAMILY_PARAMS = {
+    "bernoulli": ["--s", "2"],
+    "euler": ["--s", "2"],
+    "frobenius-euler": ["--r", "2", "--lambda", "-3/5"],
+    "poly-bernoulli": ["--k", "-2"],
+    "mixed-T": ["--r", "1", "--k", "2", "--lambda", "2"],
+    "stirling2": [],
+}
+
+FIRST_LATEX_LINE = {
+    "bernoulli": "\\mathbb{B}^{(2)}_{0}(x) = 1",
+    "euler": "E^{(2)}_{0}(x) = 1",
+    "frobenius-euler": "H^{(2)}_{0}(x \\mid -\\frac{3}{5}) = 1",
+    "poly-bernoulli": "B^{(-2)}_{0}(x) = 1",
+    "mixed-T": "T^{(1,2)}_{0}(x \\mid 2) = 1",
+    "stirling2": "S_2(0, \\cdot) = \\left[1\\right]",
+}
+
+MISSING_FAMILY_PARAMS = {
+    "bernoulli": "error: family 'bernoulli' needs --s\n",
+    "euler": "error: family 'euler' needs --s\n",
+    "frobenius-euler": "error: family 'frobenius-euler' needs --r, --lambda\n",
+    "poly-bernoulli": "error: family 'poly-bernoulli' needs --k\n",
+    "mixed-T": "error: family 'mixed-T' needs --r, --k, --lambda\n",
+}
+
+MISSING_TARGET_PARAMS = {
+    "bernoulli": "error: target 'bernoulli' needs --s\n",
+    "euler": "error: target 'euler' needs --s\n",
+    "frobenius-euler": "error: target 'frobenius-euler' needs --s and --mu\n",
+}
+
+MIXED = ["--r", "1", "--k", "2", "--lambda", "2"]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+def test_table_latex_label_per_family(family, capsys):
+    argv = ["table", "--family", family, "--n-max", "1", "--format", "latex"]
+    assert main(argv + FAMILY_PARAMS[family]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == FIRST_LATEX_LINE[family]
+
+
+@pytest.mark.parametrize("family", sorted(MISSING_FAMILY_PARAMS))
+def test_missing_family_parameters_per_family(family, capsys):
+    for command, degree in (("table", "--n-max"), ("eval", "--n")):
+        argv = [command, "--family", family, degree, "1"]
+        if command == "eval":
+            argv += ["--at", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == MISSING_FAMILY_PARAMS[family]
+
+
+@pytest.mark.parametrize("target", sorted(MISSING_TARGET_PARAMS))
+def test_missing_target_parameters_per_target(target, capsys):
+    argv = ["bases", "--target", target, "--n-max", "1", *MIXED]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == MISSING_TARGET_PARAMS[target]
+    if target == "frobenius-euler":
+        assert main(argv + ["--s", "1"]) == 2
+        assert capsys.readouterr().err == MISSING_TARGET_PARAMS[target]
+
+
+def test_eval_rejects_the_stirling_triangle(capsys):
+    assert main(["eval", "--family", "stirling2", "--n", "1", "--at", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: stirling2 is a number triangle; use the table command\n"
+    )
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+def test_table_degree_zero_per_family(family, capsys):
+    assert main(["table", "--family", family, "--n-max", "0", *FAMILY_PARAMS[family]]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(row["n"], row["coefficients"]) for row in rows] == [(0, ["1"])]
+
+
+@pytest.mark.parametrize("target", ["bernoulli", "euler", "frobenius-euler", "falling", "rising"])
+def test_bases_degree_zero_per_target(target, capsys):
+    argv = ["bases", "--target", target, "--n-max", "0", *MIXED, "--s", "1", "--mu", "3"]
+    assert main(argv) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(row["n"], row["constants"]) for row in rows] == [(0, ["1"])]
+
+
+def test_verify_bases_degree_zero(capsys):
+    argv = ["verify", "bases", "--n-max", "0", "--r-set=1", "--k-set=2",
+            "--lambda-set=2", "--s-set=1", "--mu-set=3"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "pass" and report["checked"] == 15
+    assert report["grid"] == {"n_min": 0, "n_max": 0, "r": [1], "k": [2],
+                              "lambda": ["2"], "s": [1], "mu": ["3"]}

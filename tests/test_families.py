@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from umbralcalc.families import (
-    FamilyParams,
+    bernoulli_kernel,
     bernoulli_numbers,
     bernoulli_poly,
     bernoulli_polys,
+    euler_kernel,
     euler_poly,
     exp_minus_one,
     frobenius_euler_kernel,
@@ -16,14 +17,16 @@ from umbralcalc.families import (
     frobenius_euler_numbers,
     frobenius_euler_poly,
     frobenius_euler_polys,
+    mixed_kernel,
     mixed_type_numbers,
     mixed_type_poly,
     mixed_type_polys,
+    poly_bernoulli_kernel,
     poly_bernoulli_polys,
     polylog_series,
+    polys_from_kernel,
     stirling2,
     stirling2_triangle,
-    truncation_slack,
 )
 from umbralcalc.polynomials import Polynomial, X
 
@@ -179,11 +182,11 @@ def test_mixed_reduces_to_poly_bernoulli_at_order_zero():
 
 
 def test_mixed_family_equals_operator_action_on_monomials():
-    from umbralcalc.families import default_order, mixed_kernel
+    from umbralcalc.families import mixed_kernel
     from umbralcalc.umbral import apply_operator
 
     r, k, lam = 2, -1, Fraction(1, 2)
-    operator = mixed_kernel(r, k, lam, default_order(7))
+    operator = mixed_kernel(r, k, lam, 9)
     family = mixed_type_polys(7, r, k, lam)
     for n in range(8):
         assert apply_operator(operator, Polynomial.monomial(n)) == family[n]
@@ -208,26 +211,19 @@ def test_mixed_family_derivative_rule(r, k, lam):
         assert family[n].derivative() == n * family[n - 1]
 
 
-def test_family_params_validation():
-    params = FamilyParams(n=3, r=1, k=2, lam=Fraction(2))
-    assert params.lam == 2
-    with pytest.raises(ValueError):
-        FamilyParams(n=-1)
-    with pytest.raises(ValueError):
-        FamilyParams(n=0, s=-1)
-    with pytest.raises(ValueError):
-        FamilyParams(n=0, lam=Fraction(1))
-    with pytest.raises(ValueError):
-        FamilyParams(n=0, mu=1)
-
-
-def test_slack_environment_override(monkeypatch):
-    assert truncation_slack() == 2
-    monkeypatch.setenv("UMBRALCALC_SLACK", "5")
-    assert truncation_slack() == 5
-    monkeypatch.setenv("UMBRALCALC_SLACK", "0")
-    with pytest.raises(ValueError):
-        truncation_slack()
-    monkeypatch.setenv("UMBRALCALC_SLACK", "x")
-    with pytest.raises(ValueError):
-        truncation_slack()
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_families_truncate_exactly_at_the_degree(n):
+    # expanding the kernel five orders further changes no coefficient
+    # through t^n, so the library's order-n expansion is exact
+    lam = Fraction(-3, 5)
+    cases = [
+        (bernoulli_kernel(2, n + 5), bernoulli_polys(n, 2)),
+        (euler_kernel(3, n + 5), euler_polys(n, 3)),
+        (frobenius_euler_kernel(-2, lam, n + 5), frobenius_euler_polys(n, -2, lam)),
+        (poly_bernoulli_kernel(-2, n + 5), poly_bernoulli_polys(n, -2)),
+        (poly_bernoulli_kernel(0, n + 5), poly_bernoulli_polys(n, 0)),
+        (mixed_kernel(-1, -2, lam, n + 5), mixed_type_polys(n, -1, -2, lam)),
+        (mixed_kernel(2, 3, Fraction(2), n + 5), mixed_type_polys(n, 2, 3, Fraction(2))),
+    ]
+    for kernel, family in cases:
+        assert polys_from_kernel(kernel, n) == family

@@ -8,7 +8,7 @@ import pytest
 from umbralcalc import identities
 from umbralcalc.identities import (
     DEFAULT_GRID,
-    MINIMUM_DEGREE,
+    SPECS,
     VERIFIERS,
     SweepGrid,
     _sweep,
@@ -32,7 +32,7 @@ SMALL = SweepGrid(
 
 def _for(identity):
     grid = SMALL
-    floor = MINIMUM_DEGREE.get(identity, 0)
+    floor = SPECS[identity].floor
     if grid.n_min < floor:
         grid = replace(grid, n_min=floor)
     return grid
@@ -225,3 +225,19 @@ def test_default_grid_matches_documented_sweep():
         Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 5), Fraction(7),
     )
     assert DEFAULT_GRID.mu_values == (Fraction(-1), Fraction(3), Fraction(2, 3))
+
+
+def test_benchmark_verifier_list_matches_the_table():
+    # perfbench/workloads.py counts the checks each verifier must report
+    # from its own copy of the ids and floors; it must follow the table
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert workloads.VERIFIERS == tuple(SPECS)
+    assert workloads.MINIMUM_DEGREE == {
+        identity: spec.floor for identity, spec in SPECS.items() if spec.floor > 0
+    }

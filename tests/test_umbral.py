@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from umbralcalc.families import (
     bernoulli_kernel,
-    default_order,
     exp_minus_one,
     frobenius_euler_kernel,
     mixed_kernel,
@@ -136,7 +135,7 @@ def test_appell_recurrence_steps():
 
 def test_appell_recurrence_reproduces_mixed_family():
     r, k, lam = 1, 2, Fraction(2)
-    order = default_order(7)
+    order = 9
     pair = ShefferPair(
         mixed_kernel(r, k, lam, order).invert(), TruncatedSeries.identity(order)
     )
@@ -182,7 +181,7 @@ def test_connection_constants_monomials_to_falling_is_stirling():
 
 def test_connection_constants_mixed_to_falling_matches_closed_form():
     r, k, lam, n = 1, 2, Fraction(2), 4
-    order = default_order(n)
+    order = 6
     source = ShefferPair(
         mixed_kernel(r, k, lam, order).invert(), TruncatedSeries.identity(order)
     )
@@ -240,3 +239,19 @@ def test_monomial_expansion_reconstructs(p):
         c = pairing(t**power, p)
         rebuilt = rebuilt + c * Polynomial.monomial(power) / factorial(power)
     assert rebuilt == p
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_connection_constants_truncate_exactly(n):
+    # pairs at order max(n, 1) give the same constants as pairs three
+    # orders longer, for the mixed source in every target basis
+    from umbralcalc.identities import TARGETS, appell_pair
+
+    r, k, lam, s, mu = -1, -2, Fraction(-3, 5), 2, Fraction(3)
+
+    def constants(name, order):
+        source = appell_pair(mixed_kernel(r, k, lam, order))
+        return connection_constants(source, TARGETS[name].pair(s, mu, order), n)
+
+    for name in TARGETS:
+        assert constants(name, max(n, 1)) == constants(name, n + 3)
