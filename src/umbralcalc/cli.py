@@ -5,7 +5,8 @@ All values are exact rationals rendered as "p/q" (or "p" when integral);
 the same syntax is accepted on the command line.  Output is
 byte-deterministic for a fixed invocation.  Exit status: 0 on success
 (for verify: every report passed), 1 when a verification sweep found a
-counterexample, 2 for usage or parameter errors.
+counterexample, 2 for usage or parameter errors and for an output path
+that cannot be written.
 
 Values starting with a dash (negative rationals, negative sets) are
 accepted both space-separated and in the equals form, e.g.
@@ -489,7 +490,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

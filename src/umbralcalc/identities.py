@@ -6,6 +6,17 @@ generating-function expansion on one side and closed-form summation,
 umbral pairing, or an exact triangular linear solve on the other.  All
 comparisons are exact rational equality; there is no tolerance anywhere.
 
+A verifier's task is a generator run once per (r, k, lambda) grid point.
+It computes both sides of each comparison with its own code and yields
+them, one comparison at a time, as ``(n, check, lhs, rhs, extra)``:
+the degree, the name of the check, the two sides (polynomials, numbers or
+lists of connection constants) and a dict of further parameters to report,
+such as the target basis.  The task neither compares nor counts.  One
+runner, ``_run_checks``, counts every comparison, tests ``lhs != rhs``,
+records the counterexamples and stops pulling from the task at the first
+failure unless collect-all mode is set, so a fail-fast sweep computes no
+side after its first counterexample.
+
 Grids are traversed in a fixed documented order (r, then k, then lambda,
 then the extra axes, then the degree n), so the first counterexample of a
 failing sweep is deterministic.  Grid points are independent pure
@@ -21,6 +32,7 @@ import os
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial
 from time import perf_counter
 
@@ -143,13 +155,29 @@ def _axes(grid: SweepGrid, with_s_mu=False) -> dict:
     return out
 
 
-def _fail(r, k, lam, n, check, lhs, rhs, **extra) -> dict:
-    out = {"r": r, "k": k, "lambda": str(lam), "n": n}
-    out.update(extra)
-    out["check"] = check
-    out["lhs"] = str(lhs)
-    out["rhs"] = str(rhs)
-    return out
+def _side_text(side) -> str:
+    if isinstance(side, list):
+        return "[" + ", ".join(str(c) for c in side) + "]"
+    return str(side)
+
+
+def _run_checks(checks, collect_all, task):
+    """Worker of one grid point: pull the comparisons of ``checks(*task)``
+    one at a time and return ``(checked, failures)``.  A failure lists r,
+    k, lambda, n, the extra parameters, the check and both sides."""
+    r, k, lam = task[:3]
+    checked = 0
+    failures = []
+    for n, check, lhs, rhs, extra in checks(*task):
+        checked += 1
+        if lhs != rhs:
+            failures.append(
+                {"r": r, "k": k, "lambda": str(lam), "n": n, **extra,
+                 "check": check, "lhs": _side_text(lhs), "rhs": _side_text(rhs)}
+            )
+            if not collect_all:
+                break
+    return checked, failures
 
 
 def _sweep(identity, grid_desc, tasks, worker, collect_all, jobs) -> VerificationReport:
@@ -157,26 +185,21 @@ def _sweep(identity, grid_desc, tasks, worker, collect_all, jobs) -> Verificatio
     failures = []
     checked = 0
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    pool = None
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            for task_checked, task_failures in pool.map(worker, tasks):
-                checked += task_checked
-                failures.extend(task_failures)
-                if failures and not collect_all:
-                    break
-        finally:
-            # after a fail-fast break, drop the tasks no worker has started
-            pool.shutdown(cancel_futures=True)
-    else:
-        for task in tasks:
-            task_checked, task_failures = worker(task)
+    try:
+        for task_checked, task_failures in (pool.map if pool else map)(worker, tasks):
             checked += task_checked
             failures.extend(task_failures)
             if failures and not collect_all:
                 break
+    finally:
+        if pool:
+            # after a fail-fast break, drop the tasks no worker has started
+            pool.shutdown(cancel_futures=True)
     return _report(identity, grid_desc, failures, checked, started, collect_all)
 
 
@@ -195,8 +218,7 @@ def _shifted_power_table(n_top: int) -> list:
 # ---------------------------------------------------------------------------
 # closed forms (id "thm1-2")
 
-def _closed_forms_task(task):
-    r, k, lam, ns, collect_all = task
+def _closed_forms_task(r, k, lam, ns):
     n_top = max(ns)
     t_polys = mixed_type_polys(n_top, r, k, lam)
     h_nums = frobenius_euler_numbers(n_top, r, lam)
@@ -204,8 +226,6 @@ def _closed_forms_task(task):
     inv_weights = [Fraction(m + 1) ** (-k) for m in range(n_top + 1)]
     fact_weights = [factorial(m) * w for m, w in enumerate(inv_weights)]
     powers = _shifted_power_table(n_top)
-    failures = []
-    checked = 0
     for n in ns:
         expected = t_polys[n]
         shifted = []
@@ -224,11 +244,7 @@ def _closed_forms_task(task):
                 term = comb(m, j) * shifted[j]
                 inner = inner + (term if j % 2 == 0 else -term)
             first = first + inv_weights[m] * inner
-        checked += 1
-        if first != expected:
-            failures.append(_fail(r, k, lam, n, "triple-sum form", first, expected))
-            if not collect_all:
-                break
+        yield n, "triple-sum form", first, expected, {}
         coeffs = []
         for l in range(n + 1):
             total = Fraction(0)
@@ -243,28 +259,19 @@ def _closed_forms_task(task):
                         term = outer * fact_weights[m] * v
                         total += term if (n - m - j) % 2 == 0 else -term
             coeffs.append(total)
-        second = Polynomial(coeffs)
-        checked += 1
-        if second != expected:
-            failures.append(_fail(r, k, lam, n, "coefficient form", second, expected))
-            if not collect_all:
-                break
-    return checked, failures
+        yield n, "coefficient form", Polynomial(coeffs), expected, {}
 
 
 # ---------------------------------------------------------------------------
 # step recurrence (id "thm3")
 
-def _step_recurrence_task(task):
-    r, k, lam, ns, collect_all = task
+def _step_recurrence_task(r, k, lam, ns):
     n_top = max(ns)
     t_rk = mixed_type_polys(n_top + 1, r, k, lam)
     t_up = mixed_type_polys(n_top, r + 1, k, lam)
     t_dn = mixed_type_polys(n_top + 1, r, k - 1, lam)
     bern = bernoulli_numbers(n_top + 1)
     coef = Fraction(r) * lam / (1 - lam)
-    failures = []
-    checked = 0
     for n in ns:
         rhs = (X - r) * t_rk[n] - coef * t_up[n]
         acc = Polynomial()
@@ -273,26 +280,18 @@ def _step_recurrence_task(task):
             if b:
                 acc = acc + comb(n + 1, l) * b * (t_rk[n + 1 - l] - t_dn[n + 1 - l])
         rhs = rhs - acc / (n + 1)
-        checked += 1
-        if rhs != t_rk[n + 1]:
-            failures.append(_fail(r, k, lam, n, "step recurrence", rhs, t_rk[n + 1]))
-            if not collect_all:
-                break
-    return checked, failures
+        yield n, "step recurrence", rhs, t_rk[n + 1], {}
 
 
 # ---------------------------------------------------------------------------
 # derived recurrence (id "thm4", degrees n >= 2)
 
-def _derived_recurrence_task(task):
-    r, k, lam, ns, collect_all = task
+def _derived_recurrence_task(r, k, lam, ns):
     n_top = max(ns)
     t_rk = mixed_type_polys(n_top, r, k, lam)
     t_up = mixed_type_polys(n_top - 1, r + 1, k, lam)
     t_dn = mixed_type_polys(n_top, r, k - 1, lam)
     bern = bernoulli_numbers(n_top)
-    failures = []
-    checked = 0
     for n in ns:
         lhs = (n + 1) * t_rk[n] + n * ((Fraction(r) - Fraction(1, 2)) - X) * t_rk[n - 1]
         for l in range(n - 1):
@@ -304,19 +303,13 @@ def _derived_recurrence_task(task):
             b = bern[n - l]
             if b:
                 rhs = rhs + comb(n, l) * b * t_dn[l]
-        checked += 1
-        if lhs != rhs:
-            failures.append(_fail(r, k, lam, n, "derived recurrence", lhs, rhs))
-            if not collect_all:
-                break
-    return checked, failures
+        yield n, "derived recurrence", lhs, rhs, {}
 
 
 # ---------------------------------------------------------------------------
 # derivative expansion (id "thm5", degrees n >= 1)
 
-def _derivative_expansion_task(task):
-    r, k, lam, ns, collect_all = task
+def _derivative_expansion_task(r, k, lam, ns):
     n_top = max(ns)
     t_rk = mixed_type_polys(n_top, r, k, lam)
     t_up = mixed_type_polys(n_top - 1, r + 1, k, lam)
@@ -332,35 +325,25 @@ def _derivative_expansion_task(task):
                 w += -term if m % 2 else term
         weights.append(w)
     coef = Fraction(r) * lam / (1 - lam)
-    failures = []
-    checked = 0
     for n in ns:
         rhs = (X - r) * t_rk[n - 1] - coef * t_up[n - 1]
         for l in range(n):
             d = n - 1 - l
             term = comb(n - 1, l) * weights[d] * h_shift[l]
             rhs = rhs + (term if d % 2 == 0 else -term)
-        checked += 1
-        if rhs != t_rk[n]:
-            failures.append(_fail(r, k, lam, n, "derivative expansion", rhs, t_rk[n]))
-            if not collect_all:
-                break
-    return checked, failures
+        yield n, "derivative expansion", rhs, t_rk[n], {}
 
 
 # ---------------------------------------------------------------------------
 # alternating binomial sum (id "thm6")
 
-def _alternating_sum_task(task):
-    r, k, lam, ns, collect_all = task
+def _alternating_sum_task(r, k, lam, ns):
     n_top = max(ns)
     t_nums = mixed_type_numbers(n_top, r, k, lam)
     pb_nums = poly_bernoulli_numbers(n_top, k - 1)
     h_nums = frobenius_euler_numbers(n_top, r, lam)
     order = n_top + 1
     functional = frobenius_euler_kernel(r, lam, order) * polylog_series(k, order)
-    failures = []
-    checked = 0
     for n in ns:
         lhs = Fraction(0)
         for m in range(n + 1):
@@ -375,18 +358,9 @@ def _alternating_sum_task(task):
             for m in range(l + 1):
                 term = outer * comb(l, m) * pb_nums[m]
                 rhs += term if (l - m) % 2 == 0 else -term
-        checked += 1
-        if lhs != rhs:
-            failures.append(_fail(r, k, lam, n, "number identity", lhs, rhs))
-            if not collect_all:
-                break
+        yield n, "number identity", lhs, rhs, {}
         direct = pairing(functional, Polynomial.monomial(n + 1))
-        checked += 1
-        if lhs != direct:
-            failures.append(_fail(r, k, lam, n, "pairing cross-check", lhs, direct))
-            if not collect_all:
-                break
-    return checked, failures
+        yield n, "pairing cross-check", lhs, direct, {}
 
 
 # ---------------------------------------------------------------------------
@@ -504,12 +478,7 @@ def _summation_constants(basis_name, s, mu, n, t_nums, values, s2) -> list:
     return row
 
 
-def _constants_text(row) -> str:
-    return "[" + ", ".join(str(c) for c in row) + "]"
-
-
-def _basis_task(task):
-    r, k, lam, ns, collect_all, shared = task
+def _basis_task(r, k, lam, ns, shared):
     n_top = shared["n_top"]
     order = shared["order"]
     s2 = shared["s2"]
@@ -520,8 +489,6 @@ def _basis_task(task):
     values = [
         [t_polys[i](j) for j in range(shared["s_max"] + 1)] for i in range(n_top + 1)
     ]
-    failures = []
-    checked = 0
     for basis_name, s, mu, basis, target in shared["instances"]:
         pairing_rows = connection_constants(source, target, n_top)
         solve_rows = expand_in_basis(t_polys, basis)
@@ -532,45 +499,19 @@ def _basis_task(task):
             extra["mu"] = str(mu)
         for n in ns:
             row = _summation_constants(basis_name, s, mu, n, t_nums, values, s2)
-            checked += 1
-            if row != pairing_rows[n]:
-                failures.append(
-                    _fail(
-                        r, k, lam, n, "summation vs pairing constants",
-                        _constants_text(row), _constants_text(pairing_rows[n]), **extra,
-                    )
-                )
-                if not collect_all:
-                    return checked, failures
-            checked += 1
-            if row != solve_rows[n]:
-                failures.append(
-                    _fail(
-                        r, k, lam, n, "summation vs solved constants",
-                        _constants_text(row), _constants_text(solve_rows[n]), **extra,
-                    )
-                )
-                if not collect_all:
-                    return checked, failures
+            yield n, "summation vs pairing constants", row, pairing_rows[n], extra
+            yield n, "summation vs solved constants", row, solve_rows[n], extra
             rebuilt = Polynomial()
             for m, c in enumerate(row):
                 if c:
                     rebuilt = rebuilt + c * basis[m]
-            checked += 1
-            if rebuilt != t_polys[n]:
-                failures.append(
-                    _fail(r, k, lam, n, "basis reconstruction", rebuilt, t_polys[n], **extra)
-                )
-                if not collect_all:
-                    return checked, failures
-    return checked, failures
+            yield n, "basis reconstruction", rebuilt, t_polys[n], extra
 
 
 # ---------------------------------------------------------------------------
 # foundations (id "foundations")
 
-def _foundations_task(task):
-    r, k, lam, ns, collect_all = task
+def _foundations_task(r, k, lam, ns):
     n_top = max(ns)
     t_polys = mixed_type_polys(n_top, r, k, lam)
     t_zero = mixed_type_polys(n_top, 0, k, lam)
@@ -582,33 +523,19 @@ def _foundations_task(task):
     powers = _shifted_power_table(n_top)
     operator = poly_bernoulli_kernel(k, n_top)
     inv_weights = [Fraction(m + 1) ** (-k) for m in range(n_top + 1)]
-    failures = []
-    checked = 0
-
-    def record(n, check, lhs, rhs):
-        failures.append(_fail(r, k, lam, n, check, lhs, rhs))
-
     for n in ns:
-        checks = []
         if n >= 1:
-            checks.append(
-                ("derivative rule", t_polys[n].derivative(), n * t_polys[n - 1])
-            )
+            yield n, "derivative rule", t_polys[n].derivative(), n * t_polys[n - 1], {}
         conv_a = Polynomial()
+        for l in range(n + 1):
+            conv_a = conv_a + comb(n, l) * h_nums[n - l] * pb_polys[l]
+        yield n, "number/polynomial convolution", conv_a, t_polys[n], {}
         conv_b = Polynomial()
         for l in range(n + 1):
-            c = comb(n, l)
-            conv_a = conv_a + c * h_nums[n - l] * pb_polys[l]
-            conv_b = conv_b + c * pb_nums[l] * h_polys[n - l]
-        checks.append(("number/polynomial convolution", conv_a, t_polys[n]))
-        checks.append(("polynomial/number convolution", conv_b, t_polys[n]))
-        checks.append(
-            (
-                "binomial expansion",
-                Polynomial([comb(n, l) * h_nums[n - l] for l in range(n + 1)]),
-                h_polys[n],
-            )
-        )
+            conv_b = conv_b + comb(n, l) * pb_nums[l] * h_polys[n - l]
+        yield n, "polynomial/number convolution", conv_b, t_polys[n], {}
+        binomial = Polynomial([comb(n, l) * h_nums[n - l] for l in range(n + 1)])
+        yield n, "binomial expansion", binomial, h_polys[n], {}
         alternating = Polynomial()
         for m in range(n + 1):
             inner = Polynomial()
@@ -616,7 +543,7 @@ def _foundations_task(task):
                 term = comb(m, j) * powers[j][n]
                 inner = inner + (term if j % 2 == 0 else -term)
             alternating = alternating + inv_weights[m] * inner
-        checks.append(("alternating-shift action", alternating, pb_polys[n]))
+        yield n, "alternating-shift action", alternating, pb_polys[n], {}
         coeffs = []
         for j in range(n + 1):
             total = Fraction(0)
@@ -626,22 +553,10 @@ def _foundations_task(task):
                     term = inv_weights[m] * comb(n, j) * factorial(m) * v
                     total += term if (n - m - j) % 2 == 0 else -term
             coeffs.append(total)
-        checks.append(("partition-sum action", Polynomial(coeffs), pb_polys[n]))
-        checks.append(
-            (
-                "operator action",
-                apply_operator(operator, Polynomial.monomial(n)),
-                pb_polys[n],
-            )
-        )
-        checks.append(("order-zero degeneration", t_zero[n], pb_polys[n]))
-        for check, lhs, rhs in checks:
-            checked += 1
-            if lhs != rhs:
-                record(n, check, lhs, rhs)
-                if not collect_all:
-                    return checked, failures
-    return checked, failures
+        yield n, "partition-sum action", Polynomial(coeffs), pb_polys[n], {}
+        action = apply_operator(operator, Polynomial.monomial(n))
+        yield n, "operator action", action, pb_polys[n], {}
+        yield n, "order-zero degeneration", t_zero[n], pb_polys[n], {}
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +567,12 @@ class VerifierSpec:
     """One row of the verifier table: the task run per (r, k, lambda)
     point, the smallest degree the identity is stated for, whether the
     report's grid lists the s and mu axes, and an optional builder of data
-    shared by every task, called as ``shared(grid, n_top)``."""
+    shared by every task, called as ``shared(grid, n_top)``.
+
+    The task is a generator called as ``task(r, k, lam, ns)``, or
+    ``task(r, k, lam, ns, shared)`` with a shared builder.  It computes
+    both sides of every comparison itself and yields each as ``(n, check,
+    lhs, rhs, extra)``; ``_run_checks`` alone counts, compares and stops."""
 
     task: Callable
     floor: int = 0
@@ -695,13 +615,14 @@ def _verify(identity, grid, collect_all, jobs) -> VerificationReport:
     ns = grid.degrees()
     shared = () if spec.shared is None else (spec.shared(grid, max(ns)),)
     tasks = [
-        (r, k, lam, ns, collect_all, *shared)
+        (r, k, lam, ns, *shared)
         for r in grid.r_values
         for k in grid.k_values
         for lam in grid.lambda_values
     ]
     axes = _axes(grid, spec.with_s_mu)
-    return _sweep(identity, axes, tasks, spec.task, collect_all, jobs)
+    worker = partial(_run_checks, spec.task, collect_all)
+    return _sweep(identity, axes, tasks, worker, collect_all, jobs)
 
 
 def _verifier(identity):

@@ -294,3 +294,21 @@ def test_verify_bases_degree_zero(capsys):
     assert report["status"] == "pass" and report["checked"] == 15
     assert report["grid"] == {"n_min": 0, "n_max": 0, "r": [1], "k": [2],
                               "lambda": ["2"], "s": [1], "mu": ["3"]}
+
+
+UNWRITABLE_OUTPUT_COMMANDS = {
+    "table": ["table", "--family", "bernoulli", "--s", "1", "--n-max", "2"],
+    "eval": ["eval", "--family", "bernoulli", "--s", "1", "--n", "2", "--at", "1"],
+    "bases": ["bases", "--target", "falling", "--n-max", "2", *MIXED],
+    "verify": ["verify", "thm3", "--n-max", "0", "--r-set=1", "--k-set=2",
+               "--lambda-set=2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNWRITABLE_OUTPUT_COMMANDS))
+def test_unwritable_output_exits_2(command, tmp_path, capsys):
+    # exit 1 of verify means a counterexample; a bad path is a usage error
+    for path in (tmp_path / "missing" / "out.txt", tmp_path):
+        argv = UNWRITABLE_OUTPUT_COMMANDS[command] + ["--output", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")

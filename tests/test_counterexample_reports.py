@@ -1,0 +1,119 @@
+"""Counterexample reports of every verifier, locked against golden JSON.
+
+Three library functions are patched to return slightly wrong values, so
+every verifier finds counterexamples on a small grid.  Each verifier runs
+at its degree floor, fail-fast and collect-all, serially and in a
+two-worker process pool; the ``to_jsonable`` payloads must equal the lines
+of ``data/counterexample_reports.jsonl`` byte for byte.  The pool forks
+its workers, so they inherit the patched module.
+
+Run this file as a script to re-record the golden lines, and only after a
+change of the report format that is intended.
+"""
+
+import concurrent.futures
+import functools
+import json
+import multiprocessing
+from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from umbralcalc import identities
+from umbralcalc.identities import SPECS, VERIFIERS, SweepGrid
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "counterexample_reports.jsonl"
+
+GRID = SweepGrid(
+    n_max=5,
+    r_values=(-1, 2),
+    k_values=(-2, 1),
+    lambda_values=(Fraction(2), Fraction(-1, 3)),
+    s_values=(0, 2),
+    mu_values=(Fraction(3),),
+)
+
+CASES = [
+    (identity, collect_all, jobs)
+    for identity in SPECS
+    for collect_all in (False, True)
+    for jobs in (1, 2)
+]
+
+
+def _case_id(identity, collect_all, jobs):
+    return f"{identity}-{'collect-all' if collect_all else 'fail-fast'}-jobs{jobs}"
+
+
+def _inject_defects(patch):
+    """Wrap three library functions, and make the process pool fork, with
+    ``patch(owner, name, value)``."""
+    polys = identities.mixed_type_polys
+    numbers = identities.mixed_type_numbers
+    constants = identities._summation_constants
+
+    def bad_polys(n_max, r, k, lam):
+        out = polys(n_max, r, k, lam)
+        if r == 2 and n_max >= 3:
+            out[3] = out[3] + Fraction(1, 7)
+        return out
+
+    def bad_numbers(n_max, r, k, lam):
+        out = numbers(n_max, r, k, lam)
+        if k == 1 and n_max >= 2:
+            out[2] = out[2] + 1
+        return out
+
+    def bad_constants(basis_name, s, mu, n, t_nums, values, s2):
+        row = constants(basis_name, s, mu, n, t_nums, values, s2)
+        if basis_name in ("euler", "rising") and n == 4:
+            row[1] = row[1] + Fraction(1, 3)
+        return row
+
+    patch(identities, "mixed_type_polys", bad_polys)
+    patch(identities, "mixed_type_numbers", bad_numbers)
+    patch(identities, "_summation_constants", bad_constants)
+    # the workers must inherit the patched module, whatever the default
+    patch(
+        concurrent.futures,
+        "ProcessPoolExecutor",
+        functools.partial(
+            concurrent.futures.ProcessPoolExecutor,
+            mp_context=multiprocessing.get_context("fork"),
+        ),
+    )
+
+
+def _payload(identity, collect_all, jobs) -> str:
+    grid = replace(GRID, n_min=SPECS[identity].floor)
+    report = VERIFIERS[identity](grid, collect_all=collect_all, jobs=jobs)
+    return json.dumps(
+        {"collect_all": collect_all, "jobs": jobs, "report": report.to_jsonable()}
+    )
+
+
+def _golden() -> dict:
+    lines = GOLDEN.read_text().splitlines()
+    return dict(zip(CASES, lines, strict=True))
+
+
+@pytest.fixture
+def defective(monkeypatch):
+    _inject_defects(monkeypatch.setattr)
+
+
+@pytest.mark.parametrize(
+    "identity, collect_all, jobs", CASES, ids=[_case_id(*case) for case in CASES]
+)
+def test_counterexample_report_matches_golden(defective, identity, collect_all, jobs):
+    payload = _payload(identity, collect_all, jobs)
+    assert json.loads(payload)["report"]["status"] == "fail"
+    assert payload == _golden()[identity, collect_all, jobs]
+
+
+if __name__ == "__main__":
+    _inject_defects(setattr)
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text("".join(_payload(*case) + "\n" for case in CASES))

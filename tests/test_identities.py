@@ -156,6 +156,29 @@ def test_sweep_parallel_first_counterexample_is_stable():
     assert report.counterexample["n"] == 3
 
 
+def _toy_checks(r, k, lam, ns, pulled):
+    for n in ns:
+        pulled.append(n)
+        lhs = [Fraction(n, 2), 3] if n == 1 else n
+        yield n, "toy", lhs, (n + 1 if n in (1, 3) else n), {"basis": "toy"}
+
+
+def test_run_checks_counts_records_and_stops_lazily():
+    pulled = []
+    task = (2, -1, Fraction(1, 2), range(5), pulled)
+    checked, failures = identities._run_checks(_toy_checks, False, task)
+    assert checked == 2 and pulled == [0, 1]  # nothing computed past the failure
+    assert failures == [
+        {"r": 2, "k": -1, "lambda": "1/2", "n": 1, "basis": "toy",
+         "check": "toy", "lhs": "[1/2, 3]", "rhs": "2"}
+    ]
+    assert list(failures[0]) == ["r", "k", "lambda", "n", "basis", "check", "lhs", "rhs"]
+    pulled.clear()
+    checked, failures = identities._run_checks(_toy_checks, True, task)
+    assert checked == 5 and pulled == [0, 1, 2, 3, 4]
+    assert [f["n"] for f in failures] == [1, 3]
+
+
 class _RecordingExecutor:
     """Stands in for ProcessPoolExecutor: runs tasks lazily in-process and
     records the pool size, the results handed out and the shutdown."""
