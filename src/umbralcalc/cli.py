@@ -353,18 +353,22 @@ def _run_verify(args) -> int:
     if args.jobs < 1:
         raise CliError("--jobs must be at least 1")
     identity = args.identity
+    # a usage error must not truncate an existing output file, so the grid
+    # is checked before the file is opened
+    if identity == "all":
+        grid = _build_grid(args, n_min=args.n_min if args.n_min is not None else 0)
+    else:
+        spec = SPECS[identity]
+        grid = _build_grid(args, n_min=args.n_min if args.n_min is not None else spec.floor)
+        spec.require_degrees(grid)
     sink = sys.stdout if args.output is None else open(args.output, "w", newline="")
     close_sink = args.output is not None
     all_passed = True
     try:
         if identity == "all":
-            grid = _build_grid(args, n_min=args.n_min if args.n_min is not None else 0)
             reports = verify_all(grid, collect_all=args.collect_all, jobs=args.jobs)
         else:
-            floor = SPECS[identity].floor
-            n_min = args.n_min if args.n_min is not None else floor
-            grid = _build_grid(args, n_min=n_min)
-            reports = iter([VERIFIERS[identity](grid, collect_all=args.collect_all, jobs=args.jobs)])
+            reports = [VERIFIERS[identity](grid, collect_all=args.collect_all, jobs=args.jobs)]
         for report in reports:
             sink.write(json.dumps(report.to_jsonable()) + "\n")
             sink.flush()

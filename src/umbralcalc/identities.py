@@ -6,6 +6,17 @@ generating-function expansion on one side and closed-form summation,
 umbral pairing, or an exact triangular linear solve on the other.  All
 comparisons are exact rational equality; there is no tolerance anywhere.
 
+The closed-form summation sides (the connection constants and the basis
+reconstruction of ``bases``, thm1-2's coefficient form, thm5's weights,
+thm6's alternating sums and foundations' partition-sum action) run
+fraction-free: their rational inputs are brought once per task to integer
+numerators over one common denominator, each output value is an integer
+sum divided once, and a polynomial output is built from its integer
+coefficients directly.  Only the scalar representation is shared with the
+`Polynomial` core; each side keeps its own formula and never calls the
+kernel expansion, pairing or triangular solve of the side it is compared
+with, so a comparison still checks two computations.
+
 A verifier's task is a generator run once per (r, k, lambda) grid point.
 It computes both sides of each comparison with its own code and yields
 them, one comparison at a time, as ``(n, check, lhs, rhs, extra)``:
@@ -33,7 +44,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import mul
 from time import perf_counter
 
 from .families import (
@@ -59,7 +71,14 @@ from .families import (
     require_not_one,
     stirling2_triangle,
 )
-from .polynomials import Polynomial, X, falling_factorial, rising_factorial
+from .polynomials import (
+    Polynomial,
+    X,
+    _common_denominator,
+    _make,
+    falling_factorial,
+    rising_factorial,
+)
 from .series import TruncatedSeries
 from .umbral import (
     ShefferPair,
@@ -224,7 +243,10 @@ def _closed_forms_task(r, k, lam, ns):
     h_nums = frobenius_euler_numbers(n_top, r, lam)
     s2 = stirling2_triangle(n_top)
     inv_weights = [Fraction(m + 1) ** (-k) for m in range(n_top + 1)]
-    fact_weights = [factorial(m) * w for m, w in enumerate(inv_weights)]
+    h_ints, h_den = _common_denominator(h_nums)
+    fact_ints, fact_den = _common_denominator(
+        [factorial(m) * w for m, w in enumerate(inv_weights)]
+    )
     powers = _shifted_power_table(n_top)
     for n in ns:
         expected = t_polys[n]
@@ -247,19 +269,19 @@ def _closed_forms_task(r, k, lam, ns):
         yield n, "triple-sum form", first, expected, {}
         coeffs = []
         for l in range(n + 1):
-            total = Fraction(0)
+            total = 0
             for j in range(l, n + 1):
-                h = h_nums[j - l]
+                h = h_ints[j - l]
                 if not h:
                     continue
                 outer = comb(n, j) * comb(j, l) * h
                 for m in range(n - j + 1):
                     v = s2[n - j][m]
                     if v:
-                        term = outer * fact_weights[m] * v
+                        term = outer * fact_ints[m] * v
                         total += term if (n - m - j) % 2 == 0 else -term
             coeffs.append(total)
-        yield n, "coefficient form", Polynomial(coeffs), expected, {}
+        yield n, "coefficient form", _make(coeffs, h_den * fact_den), expected, {}
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +337,18 @@ def _derivative_expansion_task(r, k, lam, ns):
     t_up = mixed_type_polys(n_top - 1, r + 1, k, lam)
     h_shift = [h.shift(-1) for h in frobenius_euler_polys(n_top - 1, r, lam)]
     s2 = stirling2_triangle(n_top - 1)
+    fact_ints, fact_den = _common_denominator(
+        [factorial(m + 1) * Fraction(m + 2) ** (-k) for m in range(n_top)]
+    )
     weights = []
     for d in range(n_top):
-        w = Fraction(0)
+        w = 0
         for m in range(d + 1):
             v = s2[d][m]
             if v:
-                term = factorial(m + 1) * Fraction(m + 2) ** (-k) * v
+                term = fact_ints[m] * v
                 w += -term if m % 2 else term
-        weights.append(w)
+        weights.append(Fraction(w, fact_den))
     coef = Fraction(r) * lam / (1 - lam)
     for n in ns:
         rhs = (X - r) * t_rk[n - 1] - coef * t_up[n - 1]
@@ -344,20 +369,25 @@ def _alternating_sum_task(r, k, lam, ns):
     h_nums = frobenius_euler_numbers(n_top, r, lam)
     order = n_top + 1
     functional = frobenius_euler_kernel(r, lam, order) * polylog_series(k, order)
+    t_ints, t_den = _common_denominator(t_nums)
+    pb_ints, pb_den = _common_denominator(pb_nums)
+    h_ints, h_den = _common_denominator(h_nums)
     for n in ns:
-        lhs = Fraction(0)
+        lhs = 0
         for m in range(n + 1):
-            term = comb(n + 1, m) * t_nums[m]
+            term = comb(n + 1, m) * t_ints[m]
             lhs += term if (n - m) % 2 == 0 else -term
-        rhs = Fraction(0)
+        lhs = Fraction(lhs, t_den)
+        rhs = 0
         for l in range(n + 1):
-            h = h_nums[n - l]
+            h = h_ints[n - l]
             if not h:
                 continue
             outer = comb(n + 1, l + 1) * h
             for m in range(l + 1):
-                term = outer * comb(l, m) * pb_nums[m]
+                term = outer * comb(l, m) * pb_ints[m]
                 rhs += term if (l - m) % 2 == 0 else -term
+        rhs = Fraction(rhs, h_den * pb_den)
         yield n, "number identity", lhs, rhs, {}
         direct = pairing(functional, Polynomial.monomial(n + 1))
         yield n, "pairing cross-check", lhs, direct, {}
@@ -418,18 +448,27 @@ TARGETS = {
 }
 
 
+def _integer_rows(rows) -> tuple:
+    """(integer numerator rows, positive common denominator) of rows of
+    rationals."""
+    pairs = [_common_denominator(row) for row in rows]
+    den = lcm(*[d for _, d in pairs])
+    return [[c * (den // d) for c in num] for num, d in pairs], den
+
+
 def _basis_instances(grid: SweepGrid, n_top: int) -> dict:
-    """Target data shared by every (r, k, lambda) task: basis polynomials
-    and Sheffer pairs per basis instance, in sweep order (targets in table
-    order, each over s and then mu where it is indexed by them)."""
+    """Target data shared by every (r, k, lambda) task, per basis instance
+    in sweep order (targets in table order, each over s and then mu where
+    it is indexed by them): the basis polynomials, their coefficients as
+    integer rows over one denominator, and the Sheffer pair."""
     order = max(n_top, 1)
     instances = []
     for name, target in TARGETS.items():
         for s in grid.s_values if "s" in target.needs else (None,):
             for mu in grid.mu_values if "mu" in target.needs else (None,):
-                instances.append(
-                    (name, s, mu, target.basis(s, mu, n_top), target.pair(s, mu, order))
-                )
+                basis = target.basis(s, mu, n_top)
+                rows = _integer_rows([p.coefficients for p in basis])
+                instances.append((name, s, mu, basis, rows, target.pair(s, mu, order)))
     return {
         "order": order,
         "n_top": n_top,
@@ -441,41 +480,64 @@ def _basis_instances(grid: SweepGrid, n_top: int) -> dict:
 
 def _summation_constants(basis_name, s, mu, n, t_nums, values, s2) -> list:
     """Closed-form connection constants of the mixed family in the given
-    target basis, for a single degree n."""
-    row = []
+    target basis, for a single degree n.
+
+    ``t_nums`` holds the mixed numbers T_0..T_n as (integer numerators,
+    common denominator) and ``values`` the table T_i(j), j = 0..s or
+    beyond, as (integer rows, common denominator); every constant is an
+    integer sum made a `Fraction` once."""
+    nums, den = t_nums
     if basis_name == "bernoulli":
-        for m in range(n + 1):
-            total = Fraction(0)
-            for l in range(n - m + 1):
-                total += (
-                    Fraction(comb(n - m, l), comb(s + l, l))
-                    * s2[l + s][s]
-                    * t_nums[n - m - l]
-                )
-            row.append(comb(n, m) * total)
-    elif basis_name == "euler":
-        half = Fraction(1, 2**s)
-        for m in range(n + 1):
-            total = sum(comb(s, j) * values[n - m][j] for j in range(s + 1))
-            row.append(half * comb(n, m) * total)
-    elif basis_name == "frobenius-euler":
-        scale = Fraction(1) / (1 - mu) ** s
-        for m in range(n + 1):
-            total = Fraction(0)
-            for j in range(s + 1):
-                total += comb(s, j) * (-mu) ** (s - j) * values[n - m][j]
-            row.append(scale * comb(n, m) * total)
-    else:
-        signed = basis_name == "rising"
-        for m in range(n + 1):
-            total = Fraction(0)
-            for l in range(n - m + 1):
-                term = comb(n, l + m) * s2[l + m][m] * t_nums[n - m - l]
-                if signed and l % 2:
-                    term = -term
-                total += term
-            row.append(total)
+        # L / C(s + l, l) is an integer for L the lcm of the binomials
+        binoms = [comb(s + l, l) for l in range(n + 1)]
+        scale = lcm(*binoms)
+        weights = [scale // b * s2[l + s][s] for l, b in enumerate(binoms)]
+        return [
+            Fraction(
+                comb(n, m)
+                * sum(
+                    comb(n - m, l) * weights[l] * nums[n - m - l]
+                    for l in range(n - m + 1)
+                ),
+                scale * den,
+            )
+            for m in range(n + 1)
+        ]
+    if basis_name in ("euler", "frobenius-euler"):
+        table, table_den = values
+        if basis_name == "euler":
+            weights = [comb(s, j) for j in range(s + 1)]
+            scale = 2**s
+        else:
+            # (-mu)^(s-j) / (1 - mu)^s with mu = p/q, both sides times q^s
+            p, q = mu.numerator, mu.denominator
+            weights = [comb(s, j) * (-p) ** (s - j) * q**j for j in range(s + 1)]
+            scale = (q - p) ** s
+        return [
+            Fraction(comb(n, m) * sum(map(mul, weights, table[n - m])), scale * table_den)
+            for m in range(n + 1)
+        ]
+    signed = basis_name == "rising"
+    row = []
+    for m in range(n + 1):
+        total = 0
+        for l in range(n - m + 1):
+            term = comb(n, l + m) * s2[l + m][m] * nums[n - m - l]
+            total += -term if signed and l % 2 else term
+        row.append(Fraction(total, den))
     return row
+
+
+def _reconstruct(row, basis_rows, basis_den) -> Polynomial:
+    """sum_m row[m] * basis[m], for the basis given as integer coefficient
+    rows over ``basis_den``: one integer combination, one polynomial."""
+    coeffs, den = _common_denominator(row)
+    out = [0] * len(row)
+    for c, basis_num in zip(coeffs, basis_rows):
+        if c:
+            for i, b in enumerate(basis_num):
+                out[i] += c * b
+    return _make(out, den * basis_den)
 
 
 def _basis_task(r, k, lam, ns, shared):
@@ -484,12 +546,12 @@ def _basis_task(r, k, lam, ns, shared):
     s2 = shared["s2"]
     kernel = mixed_kernel(r, k, lam, order)
     t_polys = polys_from_kernel(kernel, n_top)
-    t_nums = numbers_from_kernel(kernel, n_top)
+    t_nums = _common_denominator(numbers_from_kernel(kernel, n_top))
     source = appell_pair(kernel)
-    values = [
-        [t_polys[i](j) for j in range(shared["s_max"] + 1)] for i in range(n_top + 1)
-    ]
-    for basis_name, s, mu, basis, target in shared["instances"]:
+    values = _integer_rows(
+        [[t_polys[i](j) for j in range(shared["s_max"] + 1)] for i in range(n_top + 1)]
+    )
+    for basis_name, s, mu, basis, (basis_rows, basis_den), target in shared["instances"]:
         pairing_rows = connection_constants(source, target, n_top)
         solve_rows = expand_in_basis(t_polys, basis)
         extra = {"basis": basis_name}
@@ -501,10 +563,7 @@ def _basis_task(r, k, lam, ns, shared):
             row = _summation_constants(basis_name, s, mu, n, t_nums, values, s2)
             yield n, "summation vs pairing constants", row, pairing_rows[n], extra
             yield n, "summation vs solved constants", row, solve_rows[n], extra
-            rebuilt = Polynomial()
-            for m, c in enumerate(row):
-                if c:
-                    rebuilt = rebuilt + c * basis[m]
+            rebuilt = _reconstruct(row, basis_rows, basis_den)
             yield n, "basis reconstruction", rebuilt, t_polys[n], extra
 
 
@@ -523,6 +582,7 @@ def _foundations_task(r, k, lam, ns):
     powers = _shifted_power_table(n_top)
     operator = poly_bernoulli_kernel(k, n_top)
     inv_weights = [Fraction(m + 1) ** (-k) for m in range(n_top + 1)]
+    inv_ints, inv_den = _common_denominator(inv_weights)
     for n in ns:
         if n >= 1:
             yield n, "derivative rule", t_polys[n].derivative(), n * t_polys[n - 1], {}
@@ -546,14 +606,14 @@ def _foundations_task(r, k, lam, ns):
         yield n, "alternating-shift action", alternating, pb_polys[n], {}
         coeffs = []
         for j in range(n + 1):
-            total = Fraction(0)
+            total = 0
             for m in range(n - j + 1):
                 v = s2[n - j][m]
                 if v:
-                    term = inv_weights[m] * comb(n, j) * factorial(m) * v
+                    term = inv_ints[m] * comb(n, j) * factorial(m) * v
                     total += term if (n - m - j) % 2 == 0 else -term
             coeffs.append(total)
-        yield n, "partition-sum action", Polynomial(coeffs), pb_polys[n], {}
+        yield n, "partition-sum action", _make(coeffs, inv_den), pb_polys[n], {}
         action = apply_operator(operator, Polynomial.monomial(n))
         yield n, "operator action", action, pb_polys[n], {}
         yield n, "order-zero degeneration", t_zero[n], pb_polys[n], {}
@@ -578,6 +638,11 @@ class VerifierSpec:
     floor: int = 0
     with_s_mu: bool = False
     shared: Callable | None = None
+
+    def require_degrees(self, grid: SweepGrid) -> None:
+        """Reject a grid reaching below the identity's stated degrees."""
+        if grid.n_min < self.floor:
+            raise ValueError(f"this identity requires degrees n >= {self.floor}; raise n_min")
 
 
 #: The verifier table, in report order.
@@ -610,8 +675,7 @@ def _verify(identity, grid, collect_all, jobs) -> VerificationReport:
     """Sweep one identity over the (r, k, lambda) points of the grid;
     grids reaching below the identity's stated degrees are rejected."""
     spec = SPECS[identity]
-    if grid.n_min < spec.floor:
-        raise ValueError(f"this identity requires degrees n >= {spec.floor}; raise n_min")
+    spec.require_degrees(grid)
     ns = grid.degrees()
     shared = () if spec.shared is None else (spec.shared(grid, max(ns)),)
     tasks = [

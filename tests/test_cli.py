@@ -312,3 +312,12 @@ def test_unwritable_output_exits_2(command, tmp_path, capsys):
         argv = UNWRITABLE_OUTPUT_COMMANDS[command] + ["--output", str(path)]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+def test_verify_usage_error_keeps_existing_output(tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    out.write_text("earlier report\n")
+    argv = ["verify", "thm4", "--n-min", "0", "--n-max", "4", "--output", str(out)]
+    assert main(argv) == 2
+    assert "n >= 2" in capsys.readouterr().err
+    assert out.read_text() == "earlier report\n"

@@ -2,13 +2,21 @@ import concurrent.futures
 import json
 from dataclasses import replace
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from umbralcalc import identities
+from umbralcalc.families import (
+    mixed_type_numbers,
+    mixed_type_polys,
+    stirling2_triangle,
+)
+from umbralcalc.polynomials import Polynomial, _common_denominator
 from umbralcalc.identities import (
     DEFAULT_GRID,
     SPECS,
+    TARGETS,
     VERIFIERS,
     SweepGrid,
     _sweep,
@@ -263,4 +271,92 @@ def test_benchmark_verifier_list_matches_the_table():
     assert workloads.VERIFIERS == tuple(SPECS)
     assert workloads.MINIMUM_DEGREE == {
         identity: spec.floor for identity, spec in SPECS.items() if spec.floor > 0
+    }
+
+
+# --- the fraction-free summation side against a Fraction reference ----------
+
+def fraction_summation_constants(basis_name, s, mu, n, t_nums, values, s2):
+    """The closed-form connection constants with one `Fraction` operation
+    per term, as the bases verifier computed them before it summed over the
+    integers; ``t_nums`` and ``values`` are plain `Fraction` lists."""
+    row = []
+    if basis_name == "bernoulli":
+        for m in range(n + 1):
+            total = Fraction(0)
+            for l in range(n - m + 1):
+                total += (
+                    Fraction(comb(n - m, l), comb(s + l, l))
+                    * s2[l + s][s]
+                    * t_nums[n - m - l]
+                )
+            row.append(comb(n, m) * total)
+    elif basis_name == "euler":
+        half = Fraction(1, 2**s)
+        for m in range(n + 1):
+            total = sum(comb(s, j) * values[n - m][j] for j in range(s + 1))
+            row.append(half * comb(n, m) * total)
+    elif basis_name == "frobenius-euler":
+        scale = Fraction(1) / (1 - mu) ** s
+        for m in range(n + 1):
+            total = Fraction(0)
+            for j in range(s + 1):
+                total += comb(s, j) * (-mu) ** (s - j) * values[n - m][j]
+            row.append(scale * comb(n, m) * total)
+    else:
+        signed = basis_name == "rising"
+        for m in range(n + 1):
+            total = Fraction(0)
+            for l in range(n - m + 1):
+                term = comb(n, l + m) * s2[l + m][m] * t_nums[n - m - l]
+                if signed and l % 2:
+                    term = -term
+                total += term
+            row.append(total)
+    return row
+
+
+def polynomial_reconstruction(row, basis):
+    rebuilt = Polynomial()
+    for m, c in enumerate(row):
+        if c:
+            rebuilt = rebuilt + c * basis[m]
+    return rebuilt
+
+
+REFERENCE_N_TOP = 12
+REFERENCE_S = (0, 1, 2, 3, 4)
+# mu > 1, mu < 0 and a denominator q - p < 0
+REFERENCE_MU = (Fraction(-1), Fraction(3), Fraction(2, 3), Fraction(9, 2))
+
+
+@pytest.mark.parametrize(
+    "r, k, lam", [(-2, -3, Fraction(1, 2)), (3, 3, Fraction(7)), (0, 0, Fraction(-3, 5))]
+)
+def test_integer_summation_matches_fraction_reference(r, k, lam):
+    n_top, s_max = REFERENCE_N_TOP, max(REFERENCE_S)
+    grid = SweepGrid(n_max=n_top, s_values=REFERENCE_S, mu_values=REFERENCE_MU)
+    shared = identities._basis_instances(grid, n_top)
+    s2 = shared["s2"]
+    t_polys = mixed_type_polys(n_top, r, k, lam)
+    t_nums = mixed_type_numbers(n_top, r, k, lam)
+    values = [[t(j) for j in range(s_max + 1)] for t in t_polys]
+    int_nums = _common_denominator(t_nums)
+    int_values = identities._integer_rows(values)
+    seen = set()
+    for name, s, mu, basis, (basis_rows, basis_den), _ in shared["instances"]:
+        seen.add((name, s, mu))
+        for n in range(n_top + 1):
+            expected = fraction_summation_constants(name, s, mu, n, t_nums, values, s2)
+            row = identities._summation_constants(name, s, mu, n, int_nums, int_values, s2)
+            assert row == expected, (name, s, mu, n)
+            assert all(type(c) is Fraction for c in row)
+            # the true row rebuilds T_n; a perturbed one any other combination
+            for trial in (row, [c + Fraction(m + 1, 3) for m, c in enumerate(row)]):
+                rebuilt = identities._reconstruct(trial, basis_rows, basis_den)
+                assert rebuilt == polynomial_reconstruction(trial, basis)
+            assert identities._reconstruct(row, basis_rows, basis_den) == t_polys[n]
+    assert {name for name, _, _ in seen} == set(TARGETS)
+    assert {(s, mu) for name, s, mu in seen if name == "frobenius-euler"} == {
+        (s, mu) for s in REFERENCE_S for mu in REFERENCE_MU
     }

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from umbralcalc.polynomials import (
     Polynomial,
     X,
+    _common_denominator,
     falling_factorial,
     format_rational,
     parse_rational,
@@ -144,3 +146,12 @@ def test_derivative_at_random_points_matches_oracle(p):
     dp = p.derivative()
     for a in (0, 1, Fraction(-2, 3)):
         assert dp(a) == derivative_at(p, a)
+
+
+@given(st.lists(st.one_of(st.integers(-50, 50), st.fractions(max_denominator=40)), max_size=8))
+def test_common_denominator_keeps_values_over_the_lcm(values):
+    nums, den = _common_denominator(values)
+    assert den == lcm(*[Fraction(v).denominator for v in values])
+    assert len(nums) == len(values)
+    for num, value in zip(nums, values):
+        assert type(num) is int and Fraction(num, den) == value
