@@ -33,7 +33,9 @@ then the extra axes, then the degree n), so the first counterexample of a
 failing sweep is deterministic.  Grid points are independent pure
 computations; with ``jobs > 1`` they are evaluated in a process pool of
 at most ``min(jobs, cpu count, task count)`` workers and joined back in
-traversal order, which keeps reports order-stable.  A fail-fast sweep
+traversal order, which keeps reports order-stable.  Data that every point
+of a sweep reads (the target bases of ``bases``) is built once per sweep
+and sent once to each worker, not with every task.  A fail-fast sweep
 cancels the tasks not yet started once a counterexample arrives.
 """
 
@@ -85,8 +87,9 @@ from .umbral import (
     VerificationReport,
     apply_operator,
     connection_constants,
-    expand_in_basis,
+    monomial_expansion,
     pairing,
+    solve_in_basis,
     _report,
 )
 
@@ -199,16 +202,29 @@ def _run_checks(checks, collect_all, task):
     return checked, failures
 
 
-def _sweep(identity, grid_desc, tasks, worker, collect_all, jobs) -> VerificationReport:
+#: Data shared by every task of the running sweep (see `VerifierSpec`), set
+#: by `_share` in the sweeping process and once in each pool worker.
+_SHARED = None
+
+
+def _share(shared) -> None:
+    global _SHARED
+    _SHARED = shared
+
+
+def _sweep(identity, grid_desc, tasks, worker, collect_all, jobs, shared=None) -> VerificationReport:
     started = perf_counter()
     failures = []
     checked = 0
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     pool = None
+    _share(shared)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=workers)
+        # the shared data travels once per worker, not with every task
+        init = {} if shared is None else {"initializer": _share, "initargs": (shared,)}
+        pool = ProcessPoolExecutor(max_workers=workers, **init)
     try:
         for task_checked, task_failures in (pool.map if pool else map)(worker, tasks):
             checked += task_checked
@@ -219,6 +235,7 @@ def _sweep(identity, grid_desc, tasks, worker, collect_all, jobs) -> Verificatio
         if pool:
             # after a fail-fast break, drop the tasks no worker has started
             pool.shutdown(cancel_futures=True)
+        _share(None)
     return _report(identity, grid_desc, failures, checked, started, collect_all)
 
 
@@ -460,21 +477,26 @@ def _basis_instances(grid: SweepGrid, n_top: int) -> dict:
     """Target data shared by every (r, k, lambda) task, per basis instance
     in sweep order (targets in table order, each over s and then mu where
     it is indexed by them): the basis polynomials, their coefficients as
-    integer rows over one denominator, and the Sheffer pair."""
+    integer rows over one denominator, and the Sheffer pair; beside them,
+    in the same order, the monomials expanded in each basis for the
+    triangular solve."""
     order = max(n_top, 1)
     instances = []
+    expansions = []
     for name, target in TARGETS.items():
         for s in grid.s_values if "s" in target.needs else (None,):
             for mu in grid.mu_values if "mu" in target.needs else (None,):
                 basis = target.basis(s, mu, n_top)
                 rows = _integer_rows([p.coefficients for p in basis])
                 instances.append((name, s, mu, basis, rows, target.pair(s, mu, order)))
+                expansions.append(monomial_expansion(basis))
     return {
         "order": order,
         "n_top": n_top,
         "s_max": max(grid.s_values),
         "s2": stirling2_triangle(n_top + max(grid.s_values)),
         "instances": instances,
+        "expansions": expansions,
     }
 
 
@@ -540,7 +562,8 @@ def _reconstruct(row, basis_rows, basis_den) -> Polynomial:
     return _make(out, den * basis_den)
 
 
-def _basis_task(r, k, lam, ns, shared):
+def _basis_task(r, k, lam, ns):
+    shared = _SHARED
     n_top = shared["n_top"]
     order = shared["order"]
     s2 = shared["s2"]
@@ -551,9 +574,10 @@ def _basis_task(r, k, lam, ns, shared):
     values = _integer_rows(
         [[t_polys[i](j) for j in range(shared["s_max"] + 1)] for i in range(n_top + 1)]
     )
-    for basis_name, s, mu, basis, (basis_rows, basis_den), target in shared["instances"]:
+    for instance, expansion in zip(shared["instances"], shared["expansions"]):
+        basis_name, s, mu, _, (basis_rows, basis_den), target = instance
         pairing_rows = connection_constants(source, target, n_top)
-        solve_rows = expand_in_basis(t_polys, basis)
+        solve_rows = solve_in_basis(t_polys, expansion)
         extra = {"basis": basis_name}
         if s is not None:
             extra["s"] = s
@@ -629,10 +653,11 @@ class VerifierSpec:
     report's grid lists the s and mu axes, and an optional builder of data
     shared by every task, called as ``shared(grid, n_top)``.
 
-    The task is a generator called as ``task(r, k, lam, ns)``, or
-    ``task(r, k, lam, ns, shared)`` with a shared builder.  It computes
+    The task is a generator called as ``task(r, k, lam, ns)``.  It computes
     both sides of every comparison itself and yields each as ``(n, check,
-    lhs, rhs, extra)``; ``_run_checks`` alone counts, compares and stops."""
+    lhs, rhs, extra)``; ``_run_checks`` alone counts, compares and stops.
+    A task with a shared builder reads the built data from ``_SHARED``,
+    which `_sweep` sets once per process, so the task tuples stay small."""
 
     task: Callable
     floor: int = 0
@@ -677,16 +702,16 @@ def _verify(identity, grid, collect_all, jobs) -> VerificationReport:
     spec = SPECS[identity]
     spec.require_degrees(grid)
     ns = grid.degrees()
-    shared = () if spec.shared is None else (spec.shared(grid, max(ns)),)
+    shared = None if spec.shared is None else spec.shared(grid, max(ns))
     tasks = [
-        (r, k, lam, ns, *shared)
+        (r, k, lam, ns)
         for r in grid.r_values
         for k in grid.k_values
         for lam in grid.lambda_values
     ]
     axes = _axes(grid, spec.with_s_mu)
     worker = partial(_run_checks, spec.task, collect_all)
-    return _sweep(identity, axes, tasks, worker, collect_all, jobs)
+    return _sweep(identity, axes, tasks, worker, collect_all, jobs, shared)
 
 
 def _verifier(identity):

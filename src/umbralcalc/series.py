@@ -255,10 +255,12 @@ class TruncatedSeries:
         """Compositional inverse g with self(g(t)) = t up to order N.
 
         Requires a delta series with invertible linear coefficient; solved
-        order by order.
+        order by order.  The series t is its own inverse.
         """
         if self.valuation() != 1:
             raise ValueError("compositional inverse requires a delta series")
+        if self._is_identity():
+            return self
         b1 = 1 / self._coeffs[1]
         n = self._order
         out = [Fraction(0), b1] + [Fraction(0)] * (n - 1)

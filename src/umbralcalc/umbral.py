@@ -5,16 +5,31 @@ A truncated series f(t) = sum a_k t^k doubles as a linear functional on
 polynomials through <t^k | x^n> = n! delta_{n,k}; there is no separate
 functional object, so the pairing is plain coefficient contraction.
 Acting with f(t) as an operator sends p(x) to sum a_k p^(k)(x).
+
+The two routes to connection constants run on integer numerators over
+one common denominator and make one `Fraction` per output constant.  The
+pairing route, `connection_constants`, brings the prefactor and l(fbar)
+to integers once and builds each power by integer convolution, or by a
+plain shift when l(fbar) is the series t (Appell targets).  The solve
+route inverts a triangular basis once, `monomial_expansion`, so that
+expressing any polynomial in it, `solve_in_basis`, is one integer
+row-times-matrix product; `expand_in_basis` is the two steps together.
+Only the scalar representation changes: the pairing route reads only
+the two Sheffer pairs and the solve route only the integer numerators of
+the polynomials and the basis.  Neither calls the other or any
+closed-form summation, so each stays an independent check of the others
+in the ``bases`` verifier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm, perm
+from operator import mul
 from time import perf_counter
 
-from .polynomials import Polynomial, X
+from .polynomials import Polynomial, X, _common_denominator
 from .series import TruncatedSeries, exp_series
 
 __all__ = [
@@ -26,6 +41,8 @@ __all__ = [
     "sheffer_orthogonality_check",
     "appell_next",
     "connection_constants",
+    "monomial_expansion",
+    "solve_in_basis",
     "expand_in_basis",
 ]
 
@@ -203,7 +220,8 @@ def connection_constants(source: ShefferPair, target: ShefferPair, n_max: int) -
 
     Computed from C_{n,m} = (n!/m!) [t^n] (h(fbar)/g(fbar)) l(fbar)^m,
     where (g, f) is the source pair, (h, l) the target, and fbar the
-    compositional inverse of f.
+    compositional inverse of f.  Each power is kept as integer numerators
+    over one denominator, and each constant is made one `Fraction`.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -212,14 +230,85 @@ def connection_constants(source: ShefferPair, target: ShefferPair, n_max: int) -
     fbar = source.f.comp_inverse()
     prefactor = target.g.compose(fbar) * source.g.compose(fbar).invert()
     ell = target.f.compose(fbar)
-    rows = [[Fraction(0)] * (n + 1) for n in range(n_max + 1)]
-    power = prefactor
-    for m in range(n_max + 1):
-        scale = Fraction(1, factorial(m))
-        for n in range(m, n_max + 1):
-            rows[n][m] = factorial(n) * scale * power.coefficient(n)
-        if m < n_max:
-            power = power * ell
+    size = n_max + 1
+    power, den = _common_denominator(prefactor.coefficients[:size])
+    is_shift = ell._is_identity()
+    if not is_shift:
+        ell_num, ell_den = _common_denominator(ell.coefficients[:size])
+    rows = [[] for _ in range(size)]
+    for m in range(size):
+        for n in range(m, size):
+            rows[n].append(Fraction(perm(n, n - m) * power[n], den))
+        if m == n_max:
+            break
+        if is_shift:
+            power = [0] + power[:-1]
+        else:
+            # power has valuation >= m and ell valuation 1, so the product's
+            # t^i coefficient for m < i is sum_{m <= j < i} power_j ell_{i-j}
+            power = [0] * (m + 1) + [
+                sum(map(mul, power[m:i], ell_num[i - m:0:-1])) for i in range(m + 1, size)
+            ]
+            den *= ell_den
+    return rows
+
+
+def monomial_expansion(basis) -> tuple:
+    """The monomials in a triangular basis, as ``(columns, den)``: integer
+    columns over one positive denominator with
+    x^i = sum_{m <= i} (columns[m][i - m] / den) basis[m].
+
+    Requires deg basis[m] = m.  Solved by forward substitution on the
+    basis' integer numerators: with basis[i] = sum_j (b_j / d) x^j,
+    x^i = (d basis[i] - sum_{j < i} b_j x^j) / b_i.
+    """
+    for m, b in enumerate(basis):
+        if b.degree != m:
+            raise ValueError(f"basis element {m} must have degree {m}")
+    rows = []  # x^i as (integer numerators over basis[0..i], denominator)
+    for i, b in enumerate(basis):
+        nums, d = b._num, b._den
+        den = lcm(*[rows[j][1] for j in range(i) if nums[j]])
+        acc = [0] * i + [d * den]
+        for j in range(i):
+            if nums[j]:
+                q, e = rows[j]
+                scale = nums[j] * (den // e)
+                for m, v in enumerate(q):
+                    acc[m] -= scale * v
+        den *= nums[i]
+        if den < 0:
+            acc, den = [-c for c in acc], -den
+        g = gcd(den, *acc)
+        rows.append(([c // g for c in acc], den // g))
+    den = lcm(*[e for _, e in rows])
+    columns = [
+        [q[m] * (den // e) for q, e in rows[m:]] for m in range(len(rows))
+    ]
+    return columns, den
+
+
+def solve_in_basis(polys, expansion) -> list:
+    """Coefficients C[n][m] with polys[n] = sum_m C[n][m] basis[m], for
+    ``expansion`` = `monomial_expansion(basis)`: one integer
+    row-times-matrix product per polynomial, one `Fraction` per constant.
+    A polynomial of degree d gets d + 1 constants (the zero polynomial
+    one)."""
+    columns, den = expansion
+    rows = []
+    for p in polys:
+        nums = p._num
+        if len(nums) > len(columns):
+            raise ValueError(
+                f"a degree-{p.degree} polynomial is not expressible in a basis "
+                f"of degrees < {len(columns)}"
+            )
+        scale = p._den * den
+        row = [
+            Fraction(sum(map(mul, nums[m:], col)), scale)
+            for m, col in enumerate(columns[: len(nums)])
+        ]
+        rows.append(row or [Fraction(0)])
     return rows
 
 
@@ -227,22 +316,7 @@ def expand_in_basis(polys, basis) -> list:
     """Exact triangular solve: coefficients C[n][m] with
     polys[n] = sum_m C[n][m] basis[m].
 
-    Requires deg basis[m] = m.  This is the independent linear-algebra
-    oracle for `connection_constants`.
+    Requires deg basis[m] = m and deg polys[n] < len(basis).  This is the
+    independent linear-algebra oracle for `connection_constants`.
     """
-    for m, b in enumerate(basis):
-        if b.degree != m:
-            raise ValueError(f"basis element {m} must have degree {m}")
-    rows = []
-    for p in polys:
-        remainder = p
-        row = [Fraction(0)] * (p.degree + 1 if p else 1)
-        for m in range(p.degree, -1, -1):
-            c = remainder.coefficient(m) / basis[m].coefficient(m)
-            row[m] = c
-            if c:
-                remainder = remainder - c * basis[m]
-        if remainder:
-            raise ValueError("polynomial is not expressible in the given basis")
-        rows.append(row)
-    return rows
+    return solve_in_basis(polys, monomial_expansion(basis))

@@ -286,6 +286,30 @@ def test_bases_degree_zero_per_target(target, capsys):
     assert [(row["n"], row["constants"]) for row in rows] == [(0, ["1"])]
 
 
+#: The degree-1 constant of T_1 in each target basis at r = -1, k = -2,
+#: lambda = -3/5, s = 2, mu = 2/3, as recorded before the pairing side ran
+#: on integers; the degree-0 constant is 1 in every basis.
+BASES_DEGREE_ONE = {
+    "bernoulli": "45/8",
+    "euler": "45/8",
+    "frobenius-euler": "85/8",
+    "falling": "37/8",
+    "rising": "37/8",
+}
+
+
+@pytest.mark.parametrize("target", sorted(BASES_DEGREE_ONE))
+def test_bases_low_degrees_match_recorded_output(target, capsys):
+    params = ["--r", "-1", "--k", "-2", "--lambda", "-3/5", "--s", "2", "--mu", "2/3"]
+    head = (f'{{"target": "{target}", "n": %d, "r": -1, "k": -2, "s": 2, '
+            f'"lambda": "-3/5", "mu": "2/3", "constants": ')
+    degree_zero = head % 0 + '["1"]}\n'
+    degree_one = head % 1 + f'["{BASES_DEGREE_ONE[target]}", "1"]}}\n'
+    for n_max, expected in (("0", degree_zero), ("1", degree_zero + degree_one)):
+        assert main(["bases", "--target", target, "--n-max", n_max, *params]) == 0
+        assert capsys.readouterr().out == expected
+
+
 def test_verify_bases_degree_zero(capsys):
     argv = ["verify", "bases", "--n-max", "0", "--r-set=1", "--k-set=2",
             "--lambda-set=2", "--s-set=1", "--mu-set=3"]

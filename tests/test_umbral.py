@@ -1,9 +1,11 @@
+import pickle
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
+from umbralcalc import identities
 from umbralcalc.families import (
     bernoulli_kernel,
     exp_minus_one,
@@ -26,6 +28,7 @@ from umbralcalc.umbral import (
     pairing,
     sheffer_orthogonality_check,
     sheffer_polynomials,
+    solve_in_basis,
 )
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
@@ -206,6 +209,10 @@ def test_connection_constants_mixed_to_falling_matches_closed_form():
 def test_expand_in_basis_validates():
     with pytest.raises(ValueError):
         expand_in_basis([X], [X])  # basis element 0 must be constant
+    with pytest.raises(ValueError, match="not expressible"):
+        expand_in_basis([X**3], [Polynomial([1]), X])
+    with pytest.raises(ValueError, match="not expressible"):
+        expand_in_basis([Polynomial([1])], [])
 
 
 def test_report_consistency_enforced():
@@ -255,3 +262,119 @@ def test_connection_constants_truncate_exactly(n):
 
     for name in TARGETS:
         assert constants(name, max(n, 1)) == constants(name, n + 3)
+
+
+# --- the integer pairing and solve sides against the Fraction code -----------
+
+def fraction_connection_constants(source, target, n_max):
+    """`connection_constants` with one `Fraction` operation per term, as it
+    was before the pairing side ran on integer numerators."""
+    fbar = source.f.comp_inverse()
+    prefactor = target.g.compose(fbar) * source.g.compose(fbar).invert()
+    ell = target.f.compose(fbar)
+    rows = [[Fraction(0)] * (n + 1) for n in range(n_max + 1)]
+    power = prefactor
+    for m in range(n_max + 1):
+        scale = Fraction(1, factorial(m))
+        for n in range(m, n_max + 1):
+            rows[n][m] = factorial(n) * scale * power.coefficient(n)
+        if m < n_max:
+            power = power * ell
+    return rows
+
+
+def fraction_expand_in_basis(polys_to_expand, basis):
+    """`expand_in_basis` as a `Polynomial`-subtraction loop with one
+    `Fraction` division per step, as it was before the integer solve."""
+    rows = []
+    for p in polys_to_expand:
+        remainder = p
+        row = [Fraction(0)] * (p.degree + 1 if p else 1)
+        for m in range(p.degree, -1, -1):
+            c = remainder.coefficient(m) / basis[m].coefficient(m)
+            row[m] = c
+            if c:
+                remainder = remainder - c * basis[m]
+        assert not remainder
+        rows.append(row)
+    return rows
+
+
+def all_fractions(rows):
+    return all(type(c) is Fraction for row in rows for c in row)
+
+
+# mu > 1, mu < 0 and a denominator q - p < 0
+ORACLE_GRID = identities.SweepGrid(
+    n_max=12, mu_values=(Fraction(-1), Fraction(3), Fraction(2, 3), Fraction(9, 2))
+)
+
+
+@pytest.mark.parametrize("r, k, lam", [(-2, -3, Fraction(1, 2)), (3, 3, Fraction(7))])
+def test_integer_sides_match_fraction_oracles_on_every_instance(r, k, lam):
+    for n_max in range(ORACLE_GRID.n_max + 1):
+        shared = identities._basis_instances(ORACLE_GRID, n_max)
+        source = identities.appell_pair(mixed_kernel(r, k, lam, shared["order"]))
+        t_polys = mixed_type_polys(n_max, r, k, lam)
+        assert len(shared["expansions"]) == len(shared["instances"]) == 32
+        for instance, expansion in zip(shared["instances"], shared["expansions"]):
+            _, _, _, basis, _, target = instance
+            pairing_rows = connection_constants(source, target, n_max)
+            assert pairing_rows == fraction_connection_constants(source, target, n_max)
+            solve_rows = solve_in_basis(t_polys, expansion)
+            assert solve_rows == fraction_expand_in_basis(t_polys, basis)
+            assert expand_in_basis(t_polys, basis) == solve_rows
+            assert all_fractions(pairing_rows) and all_fractions(solve_rows)
+
+
+SHEFFER_ORDER = 6
+nonzero_rationals = rationals.filter(bool)
+invertible_series = st.tuples(
+    nonzero_rationals, st.lists(rationals, min_size=SHEFFER_ORDER, max_size=SHEFFER_ORDER)
+).map(lambda c: TruncatedSeries([c[0], *c[1]], SHEFFER_ORDER))
+delta_series = st.tuples(
+    nonzero_rationals,
+    st.lists(rationals, min_size=SHEFFER_ORDER - 1, max_size=SHEFFER_ORDER - 1),
+).map(lambda c: TruncatedSeries([0, c[0], *c[1]], SHEFFER_ORDER))
+
+
+@given(
+    st.builds(ShefferPair, invertible_series, delta_series.filter(lambda f: not f._is_identity())),
+    st.builds(ShefferPair, invertible_series, delta_series),
+    st.integers(0, SHEFFER_ORDER),
+)
+def test_integer_pairing_matches_fraction_oracle_on_general_pairs(source, target, n_max):
+    # a source f other than t takes the general compositional inverse and
+    # the integer convolution, which the Appell sources of `bases` never do
+    rows = connection_constants(source, target, n_max)
+    assert rows == fraction_connection_constants(source, target, n_max)
+    assert all_fractions(rows)
+
+
+triangular_bases = st.integers(0, 5).flatmap(
+    lambda size: st.tuples(
+        *[
+            st.tuples(st.lists(rationals, min_size=m, max_size=m), nonzero_rationals)
+            for m in range(size)
+        ]
+    )
+).map(lambda elements: [Polynomial([*low, lead]) for low, lead in elements])
+
+
+@given(triangular_bases, st.lists(polys, max_size=4))
+def test_integer_solve_matches_fraction_oracle_on_general_bases(basis, to_expand):
+    to_expand = [p for p in to_expand if p.degree < len(basis)]
+    rows = expand_in_basis(to_expand, basis)
+    assert rows == fraction_expand_in_basis(to_expand, basis)
+    assert all_fractions(rows)
+
+
+def test_bases_tasks_leave_the_shared_data_out(monkeypatch):
+    # the basis data goes to each pool worker once, not with every task
+    recorded = []
+    monkeypatch.setattr(identities, "_sweep", lambda *args: recorded.append(args))
+    identities.verify_basis_expansions(identities.DEFAULT_GRID, jobs=2)
+    ((_, _, tasks, worker, _, _, shared),) = recorded
+    assert len(tasks) == 210
+    assert max(len(pickle.dumps((worker, task))) for task in tasks) < 1024
+    assert len(pickle.dumps(shared)) > 30_000
