@@ -218,13 +218,14 @@ def _sweep(identity, grid_desc, tasks, worker, collect_all, jobs, shared=None) -
     checked = 0
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     pool = None
-    _share(shared)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         # the shared data travels once per worker, not with every task
         init = {} if shared is None else {"initializer": _share, "initargs": (shared,)}
         pool = ProcessPoolExecutor(max_workers=workers, **init)
+    else:
+        _share(shared)
     try:
         for task_checked, task_failures in (pool.map if pool else map)(worker, tasks):
             checked += task_checked

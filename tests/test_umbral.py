@@ -344,8 +344,8 @@ delta_series = st.tuples(
     st.integers(0, SHEFFER_ORDER),
 )
 def test_integer_pairing_matches_fraction_oracle_on_general_pairs(source, target, n_max):
-    # a source f other than t takes the general compositional inverse and
-    # the integer convolution, which the Appell sources of `bases` never do
+    # a source f other than t takes the general compositional inverse,
+    # which the Appell sources of `bases` never reach
     rows = connection_constants(source, target, n_max)
     assert rows == fraction_connection_constants(source, target, n_max)
     assert all_fractions(rows)
