@@ -203,7 +203,8 @@ def _run_checks(checks, collect_all, task):
 
 
 #: Data shared by every task of the running sweep (see `VerifierSpec`), set
-#: by `_share` in the sweeping process and once in each pool worker.
+#: by `_share` in the sweeping process when it runs the tasks itself, or
+#: once in each pool worker by the pool's initializer.
 _SHARED = None
 
 
