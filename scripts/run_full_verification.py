@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Run every identity verifier on the default sweep grid and print a
-summary table.  Counterexamples, if any, are printed as JSON."""
+summary table.  Counterexamples, if any, are printed as JSON.  After the
+TOTAL line come the hits and misses of each memoised kernel builder in
+this process; pool workers (``--jobs`` > 1) keep caches of their own,
+which are not shown."""
 
 import argparse
 import json
@@ -10,7 +13,20 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from umbralcalc import families
 from umbralcalc.identities import DEFAULT_GRID, verify_all
+
+
+def cache_lines() -> list:
+    """One line per memoised builder of `umbralcalc.families`: the hits
+    and misses of its cache in this process."""
+    lines = []
+    for name in families.__all__:
+        info = getattr(getattr(families, name), "cache_info", None)
+        if info is not None:
+            stats = info()
+            lines.append(f"  {name:24s} hits={stats.hits:6d} misses={stats.misses:6d}")
+    return lines
 
 
 def main() -> int:
@@ -30,6 +46,8 @@ def main() -> int:
             print("  counterexample:", json.dumps(failure))
     print(f"{'TOTAL':12s} {'pass' if ok else 'FAIL':5s} "
           f"{'':16s}{time.perf_counter() - started:8.2f}s")
+    print("kernel caches of the sweeping process (pool workers keep their own):")
+    print("\n".join(cache_lines()))
     return 0 if ok else 1
 
 

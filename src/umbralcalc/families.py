@@ -21,11 +21,27 @@ Negative orders r and indices k <= 0 are fully supported: negative powers
 go through the reciprocal series (invertible, constant term 1), and the
 polylogarithm is the finite truncated sum, a formal series for any
 integer index.
+
+The six kernel builders (`polylog_series` and the five ``*_kernel``
+functions) are memoised for the life of the process, keyed on their
+parameter tuple with typed keys: they are pure and return immutable
+series, so a sweep builds each kernel once, and a call such as
+``frobenius_euler_kernel(2.0, lam, n)`` still raises TypeError rather
+than hitting the entry of the integer order.  Each builder's
+``cache_info()`` and ``cache_clear()`` are those of `functools.lru_cache`;
+failed calls (lambda = 1, a negative order parameter) are never cached.
+Nothing that takes a series or returns a list is cached:
+`polys_from_kernel` and `numbers_from_kernel` would be keyed on series
+values, so equal kernels built by different routes (``mixed_kernel(0, k,
+lam, n)`` and ``poly_bernoulli_kernel(k, n)``) would share one entry and
+the checks comparing them would read it twice; and the family functions
+return mutable lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .polynomials import Polynomial, X
@@ -109,6 +125,10 @@ def stirling2(n: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 # Kernel series
 
+#: The process-wide memo of each kernel builder (see the module docstring).
+_memoised = lru_cache(maxsize=None, typed=True)
+
+
 def exp_minus_one(order: int) -> TruncatedSeries:
     """e^t - 1."""
     return TruncatedSeries(
@@ -125,6 +145,7 @@ def one_minus_exp_neg(order: int) -> TruncatedSeries:
     )
 
 
+@_memoised
 def polylog_series(index: int, order: int) -> TruncatedSeries:
     """Li_index(1 - e^{-t}) truncated at the given order.
 
@@ -140,6 +161,7 @@ def polylog_series(index: int, order: int) -> TruncatedSeries:
     return acc
 
 
+@_memoised
 def frobenius_euler_kernel(r: int, lam, order: int) -> TruncatedSeries:
     """((1 - lambda)/(e^t - lambda))^r for any integer r."""
     lam = require_not_one(lam, "lambda")
@@ -147,12 +169,14 @@ def frobenius_euler_kernel(r: int, lam, order: int) -> TruncatedSeries:
     return base ** (-r)
 
 
+@_memoised
 def bernoulli_kernel(s: int, order: int) -> TruncatedSeries:
     """(t/(e^t - 1))^s."""
     _require_order_param(s)
     return exp_minus_one(order + 1).divide_by_t() ** (-s)
 
 
+@_memoised
 def euler_kernel(s: int, order: int) -> TruncatedSeries:
     """(2/(e^t + 1))^s."""
     _require_order_param(s)
@@ -160,6 +184,7 @@ def euler_kernel(s: int, order: int) -> TruncatedSeries:
     return base ** (-s)
 
 
+@_memoised
 def poly_bernoulli_kernel(index: int, order: int) -> TruncatedSeries:
     """Li_index(1 - e^{-t})/(1 - e^{-t})."""
     numerator = polylog_series(index, order + 1).divide_by_t()
@@ -167,6 +192,7 @@ def poly_bernoulli_kernel(index: int, order: int) -> TruncatedSeries:
     return numerator * denominator.invert()
 
 
+@_memoised
 def mixed_kernel(r: int, index: int, lam, order: int) -> TruncatedSeries:
     """Product kernel of the mixed-type family."""
     return frobenius_euler_kernel(r, lam, order) * poly_bernoulli_kernel(index, order)

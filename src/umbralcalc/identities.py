@@ -7,12 +7,12 @@ umbral pairing, or an exact triangular linear solve on the other.  All
 comparisons are exact rational equality; there is no tolerance anywhere.
 
 The closed-form summation sides (the connection constants and the basis
-reconstruction of ``bases``, thm1-2's coefficient form, thm5's weights,
-thm6's alternating sums and foundations' partition-sum action) run
-fraction-free: their rational inputs are brought once per task to integer
-numerators over one common denominator, each output value is an integer
-sum divided once, and a polynomial output is built from its integer
-coefficients directly.  Only the scalar representation is shared with the
+reconstruction of ``bases``, thm1-2's triple-sum and coefficient forms,
+thm5's weights, thm6's alternating sums and foundations' alternating-shift
+and partition-sum actions) run fraction-free: their rational inputs are
+brought once per task to integer numerators over one common denominator,
+each output value is an integer sum divided once, and a polynomial output
+is built from its integer coefficients directly.  Only the scalar representation is shared with the
 `Polynomial` core; each side keeps its own formula and never calls the
 kernel expansion, pairing or triangular solve of the side it is compared
 with, so a comparison still checks two computations.
@@ -242,15 +242,33 @@ def _sweep(identity, grid_desc, tasks, worker, collect_all, jobs, shared=None) -
 
 
 def _shifted_power_table(n_top: int) -> list:
-    """table[j][l] = (x - j)^l for 0 <= j, l <= n_top."""
-    table = []
-    for j in range(n_top + 1):
-        xj = Polynomial([-j, 1])
-        row = [Polynomial([1])]
-        for _ in range(n_top):
-            row.append(row[-1] * xj)
-        table.append(row)
-    return table
+    """table[j][l] = the integer coefficients of (x - j)^l, lowest power
+    first, for 0 <= j, l <= n_top."""
+    return [
+        [[comb(l, i) * (-j) ** (l - i) for i in range(l + 1)] for l in range(n_top + 1)]
+        for j in range(n_top + 1)
+    ]
+
+
+def _combine(weights, rows, length: int) -> list:
+    """sum_i weights[i] * rows[i] for integer weights and integer
+    coefficient rows of at most ``length`` entries."""
+    out = [0] * length
+    for w, row in zip(weights, rows):
+        if w:
+            for i, c in enumerate(row):
+                out[i] += w * c
+    return out
+
+
+def _alternating_shifts(inv_ints, rows, n) -> list:
+    """sum_{m<=n} inv_ints[m] sum_{j<=m} (-1)^j C(m, j) rows[j]: the
+    alternating-shift sums of the closed forms, on integer rows."""
+    inner = [
+        _combine([comb(m, j) * (-1) ** j for j in range(m + 1)], rows, n + 1)
+        for m in range(n + 1)
+    ]
+    return _combine(inv_ints, inner, n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -263,29 +281,17 @@ def _closed_forms_task(r, k, lam, ns):
     s2 = stirling2_triangle(n_top)
     inv_weights = [Fraction(m + 1) ** (-k) for m in range(n_top + 1)]
     h_ints, h_den = _common_denominator(h_nums)
+    inv_ints, inv_den = _common_denominator(inv_weights)
     fact_ints, fact_den = _common_denominator(
         [factorial(m) * w for m, w in enumerate(inv_weights)]
     )
     powers = _shifted_power_table(n_top)
     for n in ns:
         expected = t_polys[n]
-        shifted = []
-        for j in range(n + 1):
-            acc = Polynomial()
-            row = powers[j]
-            for l in range(n + 1):
-                c = comb(n, l) * h_nums[n - l]
-                if c:
-                    acc = acc + c * row[l]
-            shifted.append(acc)
-        first = Polynomial()
-        for m in range(n + 1):
-            inner = Polynomial()
-            for j in range(m + 1):
-                term = comb(m, j) * shifted[j]
-                inner = inner + (term if j % 2 == 0 else -term)
-            first = first + inv_weights[m] * inner
-        yield n, "triple-sum form", first, expected, {}
+        h_weights = [comb(n, l) * h_ints[n - l] for l in range(n + 1)]
+        shifted = [_combine(h_weights, powers[j], n + 1) for j in range(n + 1)]
+        first = _alternating_shifts(inv_ints, shifted, n)
+        yield n, "triple-sum form", _make(first, h_den * inv_den), expected, {}
         coeffs = []
         for l in range(n + 1):
             total = 0
@@ -556,12 +562,7 @@ def _reconstruct(row, basis_rows, basis_den) -> Polynomial:
     """sum_m row[m] * basis[m], for the basis given as integer coefficient
     rows over ``basis_den``: one integer combination, one polynomial."""
     coeffs, den = _common_denominator(row)
-    out = [0] * len(row)
-    for c, basis_num in zip(coeffs, basis_rows):
-        if c:
-            for i, b in enumerate(basis_num):
-                out[i] += c * b
-    return _make(out, den * basis_den)
+    return _make(_combine(coeffs, basis_rows, len(row)), den * basis_den)
 
 
 def _basis_task(r, k, lam, ns):
@@ -622,14 +623,8 @@ def _foundations_task(r, k, lam, ns):
         yield n, "polynomial/number convolution", conv_b, t_polys[n], {}
         binomial = Polynomial([comb(n, l) * h_nums[n - l] for l in range(n + 1)])
         yield n, "binomial expansion", binomial, h_polys[n], {}
-        alternating = Polynomial()
-        for m in range(n + 1):
-            inner = Polynomial()
-            for j in range(m + 1):
-                term = comb(m, j) * powers[j][n]
-                inner = inner + (term if j % 2 == 0 else -term)
-            alternating = alternating + inv_weights[m] * inner
-        yield n, "alternating-shift action", alternating, pb_polys[n], {}
+        alternating = _alternating_shifts(inv_ints, [row[n] for row in powers], n)
+        yield n, "alternating-shift action", _make(alternating, inv_den), pb_polys[n], {}
         coeffs = []
         for j in range(n + 1):
             total = 0

@@ -227,3 +227,97 @@ def test_families_truncate_exactly_at_the_degree(n):
     ]
     for kernel, family in cases:
         assert polys_from_kernel(kernel, n) == family
+
+
+# --- memoised kernel builders ------------------------------------------------
+
+CACHED_CALLS = [
+    (polylog_series, (-2, 5)),
+    (frobenius_euler_kernel, (-2, Fraction(-3, 5), 5)),
+    (bernoulli_kernel, (2, 5)),
+    (euler_kernel, (3, 5)),
+    (poly_bernoulli_kernel, (-1, 5)),
+    (mixed_kernel, (3, 2, Fraction(7), 5)),
+]
+
+
+@pytest.mark.parametrize(
+    "builder, args", CACHED_CALLS, ids=[builder.__name__ for builder, _ in CACHED_CALLS]
+)
+def test_repeat_builder_call_returns_the_cached_series(builder, args):
+    first = builder(*args)
+    assert builder(*args) is first
+    assert builder.cache_info().hits >= 1
+
+
+def _small_kernel_grid():
+    orders = (0, 1, 4)
+    lams = (Fraction(-3, 5), Fraction(2))
+    for order in orders:
+        for k in (-2, 0, 1, 3):
+            yield polylog_series, (k, order)
+            yield poly_bernoulli_kernel, (k, order)
+        for s in (0, 1, 3):
+            yield bernoulli_kernel, (s, order)
+            yield euler_kernel, (s, order)
+        for r in (-2, 0, 3):
+            for lam in lams:
+                yield frobenius_euler_kernel, (r, lam, order)
+                for k in (-1, 0, 2):
+                    yield mixed_kernel, (r, k, lam, order)
+
+
+def test_cached_builders_equal_fresh_builds():
+    for builder, args in _small_kernel_grid():
+        cached = builder(*args)
+        assert builder.__wrapped__(*args) == cached, (builder.__name__, args)
+
+
+def test_cache_keys_are_typed():
+    lam = Fraction(-3, 5)
+    frobenius_euler_kernel(2, lam, 4)
+    with pytest.raises(TypeError):
+        frobenius_euler_kernel(2.0, lam, 4)
+    with pytest.raises(TypeError):
+        mixed_kernel(2.0, 1, lam, 4)
+
+
+def test_lambda_one_raises_on_every_call():
+    for _ in range(2):
+        for lam in (1, Fraction(1)):
+            with pytest.raises(ValueError):
+                frobenius_euler_kernel(2, lam, 4)
+            with pytest.raises(ValueError):
+                mixed_kernel(2, 1, lam, 4)
+
+
+def test_order_zero_mixed_kernel_is_a_separate_entry():
+    # foundations' order-zero degeneration compares these two kernels'
+    # families, so they must stay two computations, not one cache entry
+    for k in (-2, 0, 3):
+        mixed = mixed_kernel(0, k, Fraction(2), 6)
+        plain = poly_bernoulli_kernel(k, 6)
+        assert mixed == plain
+        assert mixed is not plain
+
+
+def test_family_lists_are_fresh_objects():
+    first = mixed_type_polys(4, 2, 1, Fraction(2))
+    second = mixed_type_polys(4, 2, 1, Fraction(2))
+    assert first == second and first is not second
+
+
+def test_full_verification_script_reports_every_cache():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_full_verification.py"
+    spec = importlib.util.spec_from_file_location("run_full_verification", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    bernoulli_kernel(1, 3)
+    bernoulli_kernel(1, 3)
+    lines = {line.split()[0]: line for line in script.cache_lines()}
+    assert set(lines) == {builder.__name__ for builder, _ in CACHED_CALLS}
+    info = bernoulli_kernel.cache_info()
+    assert f"hits={info.hits:6d} misses={info.misses:6d}" in lines["bernoulli_kernel"]

@@ -8,6 +8,7 @@ import pytest
 
 from umbralcalc import identities
 from umbralcalc.families import (
+    frobenius_euler_numbers,
     mixed_type_numbers,
     mixed_type_polys,
     stirling2_triangle,
@@ -360,3 +361,78 @@ def test_integer_summation_matches_fraction_reference(r, k, lam):
     assert {(s, mu) for name, s, mu in seen if name == "frobenius-euler"} == {
         (s, mu) for s in REFERENCE_S for mu in REFERENCE_MU
     }
+
+
+# --- the integer alternating-shift sums against the Polynomial loops --------
+
+def polynomial_shifted_power_table(n_top):
+    table = []
+    for j in range(n_top + 1):
+        xj = Polynomial([-j, 1])
+        row = [Polynomial([1])]
+        for _ in range(n_top):
+            row.append(row[-1] * xj)
+        table.append(row)
+    return table
+
+
+def polynomial_triple_sum(n, h_nums, inv_weights, powers):
+    """thm1-2's triple-sum form with one `Polynomial` operation per term,
+    as the verifier computed it before it summed over the integers."""
+    shifted = []
+    for j in range(n + 1):
+        acc = Polynomial()
+        row = powers[j]
+        for l in range(n + 1):
+            c = comb(n, l) * h_nums[n - l]
+            if c:
+                acc = acc + c * row[l]
+        shifted.append(acc)
+    first = Polynomial()
+    for m in range(n + 1):
+        inner = Polynomial()
+        for j in range(m + 1):
+            term = comb(m, j) * shifted[j]
+            inner = inner + (term if j % 2 == 0 else -term)
+        first = first + inv_weights[m] * inner
+    return first
+
+
+def polynomial_alternating_shift(n, inv_weights, powers):
+    """foundations' alternating-shift action, the same way."""
+    alternating = Polynomial()
+    for m in range(n + 1):
+        inner = Polynomial()
+        for j in range(m + 1):
+            term = comb(m, j) * powers[j][n]
+            inner = inner + (term if j % 2 == 0 else -term)
+        alternating = alternating + inv_weights[m] * inner
+    return alternating
+
+
+def test_shifted_power_table_holds_integer_coefficients():
+    table = identities._shifted_power_table(7)
+    for row, reference in zip(table, polynomial_shifted_power_table(7)):
+        assert [Polynomial(coeffs) for coeffs in row] == reference
+        assert all(type(c) is int for coeffs in row for c in coeffs)
+
+
+@pytest.mark.parametrize(
+    "r, k, lam", [(-2, -3, Fraction(1, 2)), (3, 3, Fraction(7)), (0, 0, Fraction(-3, 5))]
+)
+def test_integer_alternating_shifts_match_polynomial_reference(r, k, lam):
+    n_top = 12
+    ns = tuple(range(n_top + 1))
+    h_nums = frobenius_euler_numbers(n_top, r, lam)
+    inv_weights = [Fraction(m + 1) ** (-k) for m in range(n_top + 1)]
+    powers = polynomial_shifted_power_table(n_top)
+    sides = {
+        (n, check): (lhs, rhs)
+        for task in (identities._closed_forms_task, identities._foundations_task)
+        for n, check, lhs, rhs, _ in task(r, k, lam, ns)
+    }
+    for n in ns:
+        triple, t_poly = sides[n, "triple-sum form"]
+        assert triple == polynomial_triple_sum(n, h_nums, inv_weights, powers) == t_poly
+        action, pb_poly = sides[n, "alternating-shift action"]
+        assert action == polynomial_alternating_shift(n, inv_weights, powers) == pb_poly
