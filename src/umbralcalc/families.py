@@ -22,20 +22,22 @@ go through the reciprocal series (invertible, constant term 1), and the
 polylogarithm is the finite truncated sum, a formal series for any
 integer index.
 
-The six kernel builders (`polylog_series` and the five ``*_kernel``
-functions) are memoised for the life of the process, keyed on their
-parameter tuple with typed keys: they are pure and return immutable
-series, so a sweep builds each kernel once, and a call such as
-``frobenius_euler_kernel(2.0, lam, n)`` still raises TypeError rather
-than hitting the entry of the integer order.  Each builder's
-``cache_info()`` and ``cache_clear()`` are those of `functools.lru_cache`;
-failed calls (lambda = 1, a negative order parameter) are never cached.
-Nothing that takes a series or returns a list is cached:
-`polys_from_kernel` and `numbers_from_kernel` would be keyed on series
-values, so equal kernels built by different routes (``mixed_kernel(0, k,
-lam, n)`` and ``poly_bernoulli_kernel(k, n)``) would share one entry and
-the checks comparing them would read it twice; and the family functions
-return mutable lists.
+The five factor builders (`polylog_series`, `frobenius_euler_kernel`,
+`bernoulli_kernel`, `euler_kernel` and `poly_bernoulli_kernel`) are
+memoised for the life of the process, keyed on their parameter tuple with
+typed keys: they are pure and return immutable series, so a sweep builds
+each kernel once, and a call such as ``frobenius_euler_kernel(2.0, lam,
+n)`` still raises TypeError rather than hitting the entry of the integer
+order.  Each builder's ``cache_info()`` and ``cache_clear()`` are those of
+`functools.lru_cache`; failed calls (lambda = 1, a negative order
+parameter) are never cached.  Deliberately not cached: `mixed_kernel`,
+whose two factors are, so a repeat call costs one series product and
+keeps no third series per key; and everything that takes a series or
+returns a list.  `polys_from_kernel` and `numbers_from_kernel` would be
+keyed on series values, so equal kernels built by different routes
+(``mixed_kernel(0, k, lam, n)`` and ``poly_bernoulli_kernel(k, n)``) would
+share one entry and the checks comparing them would read it twice; and the
+family functions return mutable lists.
 """
 
 from __future__ import annotations
@@ -192,7 +194,6 @@ def poly_bernoulli_kernel(index: int, order: int) -> TruncatedSeries:
     return numerator * denominator.invert()
 
 
-@_memoised
 def mixed_kernel(r: int, index: int, lam, order: int) -> TruncatedSeries:
     """Product kernel of the mixed-type family."""
     return frobenius_euler_kernel(r, lam, order) * poly_bernoulli_kernel(index, order)
