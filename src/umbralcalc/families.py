@@ -2,12 +2,25 @@
 
 Every family is produced from its exponential generating function through
 the series engine: expand the kernel to order n, the largest degree asked
-for, multiply by e^{x t} over the polynomial coefficient ring, and read off
-n! times the t^n coefficient.  Truncation at order n is exact: the t^n
-coefficient of a product, inverse, power or composition depends only on
-the factors through t^n.  Closed-form summation formulas for the same
-families live only in the identity suite, as an independent second
-computation path.
+for, and read off p_n(x) = n! [t^n] kernel * e^{x t}.  Truncation at order
+n is exact: the t^n coefficient of a product, inverse, power or
+composition depends only on the factors through t^n.  Closed-form
+summation formulas for the same families live only in the identity suite,
+as an independent second computation path.
+
+The two steps that turn a kernel into a family run on integers.
+`polys_from_kernel` takes the kernel's coefficients once as integer
+numerators over one denominator and writes the t^n coefficient of the
+product with e^{x t} directly, p_n(x) = sum_i n!/i! a_{n-i} x^i, one
+polynomial per degree.  `polylog_series` keeps the powers of 1 - e^{-t}
+and the partial sum of the power series as integer numerators over one
+denominator each and makes a `Fraction` only for the returned series; it
+stays a power sum, so the Stirling closed forms of the identity suite
+remain a second path.
+Because the expansion is exactly the binomial (Appell) formula,
+foundations' "binomial expansion" check reads its other side from the
+series product over the polynomial ring (`umbral.sheffer_polynomials` of
+the Appell pair), not from this module.
 
 Kernels (all with constant term 1, so every family is monic):
 
@@ -44,9 +57,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
+from operator import mul
 
-from .polynomials import Polynomial, X
+from .polynomials import Polynomial, _common_denominator, _make
 from .series import TruncatedSeries, exp_series
 
 __all__ = [
@@ -152,15 +166,37 @@ def polylog_series(index: int, order: int) -> TruncatedSeries:
     """Li_index(1 - e^{-t}) truncated at the given order.
 
     Since 1 - e^{-t} has valuation 1, partial sums beyond j = order
-    contribute nothing below t^{order+1}, so the sum is finite.
+    contribute nothing below t^{order+1}, so the sum is finite.  The power
+    sum runs on integers: y = 1 - e^{-t}, each power y^j and the partial
+    sum of j^(-index) y^j are kept as integer numerators over one
+    denominator each, reduced once per step.
     """
-    acc = TruncatedSeries.constant(0, order)
-    power = None
-    y = one_minus_exp_neg(order)
+    # y^j has valuation j, so power[i] is the numerator of its t^(j + i)
+    # coefficient; y itself is the first power
+    y, d = _common_denominator(one_minus_exp_neg(order).coefficients[1:])
+    power, power_den = y, d
+    acc, acc_den = [0] * (order + 1), 1
     for j in range(1, order + 1):
-        power = y if power is None else power * y
-        acc = acc + power * Fraction(j) ** (-index)
-    return acc
+        # acc/acc_den + w/w_den * power/power_den, w/w_den = j^(-index)
+        w, w_den = (1, j**index) if index >= 0 else (j**-index, 1)
+        term_den = power_den * w_den
+        g = gcd(acc_den, term_den)
+        acc_scale = term_den // g
+        w *= acc_den // g
+        acc = [c * acc_scale for c in acc]
+        for i, c in enumerate(power):
+            acc[j + i] += w * c
+        acc_den *= acc_scale
+        g = gcd(acc_den, *acc)
+        acc = [c // g for c in acc]
+        acc_den //= g
+        if j < order:
+            power = [sum(map(mul, power[: i + 1], y[i::-1])) for i in range(order - j)]
+            power_den *= d
+            g = gcd(power_den, *power)
+            power = [c // g for c in power]
+            power_den //= g
+    return TruncatedSeries._make([Fraction(c, acc_den) for c in acc], order)
 
 
 @_memoised
@@ -203,17 +239,22 @@ def mixed_kernel(r: int, index: int, lam, order: int) -> TruncatedSeries:
 # Families from kernels
 
 def polys_from_kernel(kernel: TruncatedSeries, n_max: int) -> list:
-    """Polynomials p_n(x) = n! [t^n] kernel * e^{x t} for n = 0..n_max."""
+    """Polynomials p_n(x) = n! [t^n] kernel * e^{x t} for n = 0..n_max.
+
+    With the rational kernel's coefficients as integer numerators A_j over
+    one denominator D, the t^n coefficient of the product gives
+    p_n(x) = (1/D) sum_i n!/i! A_{n-i} x^i, built as one polynomial."""
     if n_max > kernel.order:
         raise ValueError("kernel truncation order is too small")
-    # polynomial factor on the left: its coefficient products then dispatch
-    # to Polynomial directly instead of through Fraction's fallback
-    product = exp_series(X, kernel.order) * kernel
+    nums, den = _common_denominator(kernel.coefficients[: n_max + 1])
     polys = []
     for n in range(n_max + 1):
-        c = product.coefficient(n)
-        poly = c if isinstance(c, Polynomial) else Polynomial([c])
-        polys.append(factorial(n) * poly)
+        coeffs = [0] * (n + 1)
+        falling = 1  # n!/i!
+        for i in range(n, -1, -1):
+            coeffs[i] = falling * nums[n - i]
+            falling *= i
+        polys.append(_make(coeffs, den))
     return polys
 
 

@@ -89,6 +89,7 @@ from .umbral import (
     connection_constants,
     monomial_expansion,
     pairing,
+    sheffer_polynomials,
     solve_in_basis,
     _report,
 )
@@ -605,6 +606,11 @@ def _foundations_task(r, k, lam, ns):
     pb_nums = poly_bernoulli_numbers(n_top, k)
     h_polys = frobenius_euler_polys(n_top, r, lam)
     h_nums = frobenius_euler_numbers(n_top, r, lam)
+    # polys_from_kernel builds H_n by the binomial formula itself, so the
+    # binomial expansion is checked against the e^{xt} series product
+    h_series = sheffer_polynomials(
+        appell_pair(frobenius_euler_kernel(r, lam, n_top + 1)), n_top
+    )
     s2 = stirling2_triangle(n_top)
     powers = _shifted_power_table(n_top)
     operator = poly_bernoulli_kernel(k, n_top)
@@ -622,7 +628,7 @@ def _foundations_task(r, k, lam, ns):
             conv_b = conv_b + comb(n, l) * pb_nums[l] * h_polys[n - l]
         yield n, "polynomial/number convolution", conv_b, t_polys[n], {}
         binomial = Polynomial([comb(n, l) * h_nums[n - l] for l in range(n + 1)])
-        yield n, "binomial expansion", binomial, h_polys[n], {}
+        yield n, "binomial expansion", binomial, h_series[n], {}
         alternating = _alternating_shifts(inv_ints, [row[n] for row in powers], n)
         yield n, "alternating-shift action", _make(alternating, inv_den), pb_polys[n], {}
         coeffs = []

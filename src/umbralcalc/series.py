@@ -18,14 +18,18 @@ Coefficients are stored as given, but the two quadratic loops,
 multiplication and inversion, run fraction-free when every coefficient is
 rational: they bring the coefficients to integer numerators over one
 common denominator, work on integers, and take one gcd per output
-coefficient.  Any other coefficient type goes through the generic ring
-loop, so the loop is chosen by the coefficient type alone.
+coefficient.  Inversion keeps its partial results over one running
+denominator and cancels, at every step, the factor the new term shares
+with the constant term, instead of carrying the k-th power of the
+constant term's numerator as the denominator of the t^k term.  Any
+other coefficient type goes through the generic ring loop, so the loop is
+chosen by the coefficient type alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from operator import mul
 from typing import Iterable
 
@@ -185,21 +189,27 @@ class TruncatedSeries:
             raise ZeroDivisionError("series with zero constant term has no inverse")
         ints = _over_common_denominator(self._coeffs)
         if ints:
-            # a = A/d with integer A: 1/a = d * sum_k N_k t^k / A_0^(k+1),
-            # where N_0 = 1 and N_k = -sum_{j=1..k} A_j N_{k-j} A_0^(j-1)
+            # a = A/d with integer A: 1/a = (d/A_0) u, where u = 1/(A/A_0)
+            # has u_0 = 1 and u_k = -sum_{j=1..k} A_j u_{k-j} / A_0.  The u_k
+            # are kept as numerators U_k over one running denominator E; a
+            # new u_k = s/(A_0 E) is reduced by g = gcd(s, A_0), so E gains
+            # the factor A_0/g per step, not A_0
             a, d = ints
             a0 = a[0]
             nums = [1]
-            a0_pow = [1]
-            out = [Fraction(d, a0)]
-            scale = a0
+            den = 1
             for k in range(1, self._order + 1):
-                nk = -sum(map(mul, map(mul, a[1: k + 1], nums[::-1]), a0_pow))
-                nums.append(nk)
-                a0_pow.append(a0_pow[-1] * a0)
-                scale *= a0
-                out.append(Fraction(d * nk, scale))
-            return TruncatedSeries._make(out, self._order)
+                s = -sum(map(mul, a[1: k + 1], reversed(nums)))
+                g = gcd(s, a0)
+                m = a0 // g
+                if m < 0:
+                    m, s = -m, -s
+                if m != 1:
+                    nums = [c * m for c in nums]
+                    den *= m
+                nums.append(s // g)
+            scale = den * a0
+            return TruncatedSeries._make([Fraction(d * c, scale) for c in nums], self._order)
         b0 = 1 / c0
         out = [b0]
         a = self._coeffs

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +21,7 @@ from umbralcalc.families import (
     mixed_type_numbers,
     mixed_type_poly,
     mixed_type_polys,
+    one_minus_exp_neg,
     poly_bernoulli_kernel,
     poly_bernoulli_polys,
     polylog_series,
@@ -29,6 +30,7 @@ from umbralcalc.families import (
     stirling2_triangle,
 )
 from umbralcalc.polynomials import Polynomial, X
+from umbralcalc.series import TruncatedSeries, exp_series
 
 
 # --- set-partition enumeration oracle ---------------------------------------
@@ -227,6 +229,77 @@ def test_families_truncate_exactly_at_the_degree(n):
     ]
     for kernel, family in cases:
         assert polys_from_kernel(kernel, n) == family
+
+
+# --- integer expansion and polylogarithm against the series routes ----------
+
+def series_product_polys(kernel, n_max):
+    """p_n = n! [t^n] e^{xt} * kernel by the series product over Q[x]."""
+    product = exp_series(X, kernel.order) * kernel
+    polys = []
+    for n in range(n_max + 1):
+        c = product.coefficient(n)
+        poly = c if isinstance(c, Polynomial) else Polynomial([c])
+        polys.append(factorial(n) * poly)
+    return polys
+
+
+def fraction_loop_polylog(index, order):
+    """sum_{j<=order} j^(-index) (1 - e^{-t})^j by series + and scalar *."""
+    acc = TruncatedSeries.constant(0, order)
+    power = None
+    y = one_minus_exp_neg(order)
+    for j in range(1, order + 1):
+        power = y if power is None else power * y
+        acc = acc + power * Fraction(j) ** (-index)
+    return acc
+
+
+def assert_canonical(poly):
+    num, den = poly._num, poly._den
+    assert all(type(c) is int for c in num) and type(den) is int and den > 0
+    assert not num or num[-1] != 0
+    assert gcd(den, *num) == 1
+    rebuilt = Polynomial(poly.coefficients)
+    assert (num, den) == (rebuilt._num, rebuilt._den)
+
+
+@st.composite
+def kernels_and_degrees(draw):
+    rationals = st.fractions(min_value=-20, max_value=20, max_denominator=60)
+    coeffs = draw(st.lists(rationals, min_size=1, max_size=12))
+    kernel = TruncatedSeries(coeffs)
+    return kernel, draw(st.integers(0, kernel.order))
+
+
+@given(kernels_and_degrees())
+def test_polys_from_kernel_matches_series_product(case):
+    kernel, n_max = case
+    polys = polys_from_kernel(kernel, n_max)
+    assert polys == series_product_polys(kernel, n_max)
+    for poly in polys:
+        assert_canonical(poly)
+
+
+def test_polys_from_kernel_matches_series_product_on_library_kernels():
+    lam = Fraction(-3, 5)
+    for kernel in (mixed_kernel(3, -3, lam, 24), mixed_kernel(-2, 2, Fraction(7), 13)):
+        for n_max in (0, 1, kernel.order):
+            assert polys_from_kernel(kernel, n_max) == series_product_polys(kernel, n_max)
+
+
+def test_polys_from_kernel_rejects_too_high_degree():
+    with pytest.raises(ValueError):
+        polys_from_kernel(TruncatedSeries([1, 2], 1), 2)
+
+
+@pytest.mark.parametrize("k", range(-4, 5))
+def test_polylog_series_matches_fraction_loop(k):
+    for order in range(26):
+        series = polylog_series.__wrapped__(k, order)
+        assert series.order == order
+        assert series.coefficients == fraction_loop_polylog(k, order).coefficients
+        assert all(type(c) is Fraction for c in series.coefficients)
 
 
 # --- memoised kernel builders ------------------------------------------------

@@ -1,5 +1,7 @@
 import concurrent.futures
+import functools
 import json
+import multiprocessing
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
@@ -436,3 +438,38 @@ def test_integer_alternating_shifts_match_polynomial_reference(r, k, lam):
         assert triple == polynomial_triple_sum(n, h_nums, inv_weights, powers) == t_poly
         action, pb_poly = sides[n, "alternating-shift action"]
         assert action == polynomial_alternating_shift(n, inv_weights, powers) == pb_poly
+
+
+# --- foundations' binomial expansion reads the series-product route ---------
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_binomial_expansion_check_compares_two_computations(monkeypatch, jobs):
+    # polys_from_kernel builds H_n by the binomial formula, so the check's
+    # other side comes from the e^{xt} series product; break that route
+    # alone and the check must report it
+    route = identities.sheffer_polynomials
+
+    def wrong_route(pair, n_max):
+        out = route(pair, n_max)
+        out[2] = out[2] + Fraction(1, 7)
+        return out
+
+    monkeypatch.setattr(identities, "sheffer_polynomials", wrong_route)
+    # the pool workers must inherit the patched module
+    monkeypatch.setattr(
+        concurrent.futures,
+        "ProcessPoolExecutor",
+        functools.partial(
+            concurrent.futures.ProcessPoolExecutor,
+            mp_context=multiprocessing.get_context("fork"),
+        ),
+    )
+    grid = replace(SMALL, n_max=4)
+    report = identities.verify_foundations(grid, jobs=jobs)
+    assert report.status == "fail"
+    counterexample = report.counterexample
+    assert counterexample["check"] == "binomial expansion"
+    assert counterexample["n"] == 2
+    assert counterexample["lhs"] != counterexample["rhs"]
+    collected = identities.verify_foundations(grid, collect_all=True, jobs=jobs)
+    assert {c["check"] for c in collected.counterexamples} == {"binomial expansion"}

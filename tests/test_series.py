@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from umbralcalc.families import (
     exp_minus_one,
     frobenius_euler_kernel,
+    mixed_kernel,
     one_minus_exp_neg,
     stirling2,
 )
@@ -19,6 +20,11 @@ invertible_series = st.tuples(
     st.fractions(min_value=1, max_value=3, max_denominator=4),
     st.lists(rationals, max_size=7),
 ).map(lambda t: TruncatedSeries([t[0], *t[1]]))
+# any nonzero constant term: negative, non-unit and non-integer ones included
+any_invertible_coeffs = st.tuples(
+    st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool),
+    st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=720), max_size=16),
+).map(lambda t: [t[0], *t[1]])
 delta_series = st.tuples(
     st.fractions(min_value=1, max_value=3, max_denominator=4),
     st.lists(rationals, min_size=0, max_size=6),
@@ -44,6 +50,20 @@ def geometric_inverse_oracle(order):
         total = [x + y for x, y in zip(total, power)]
         power = conv(power, em1, order)
     return total
+
+
+def fraction_loop_inverse(coeffs):
+    """The reciprocal by the plain Fraction recurrence
+    b_0 = 1/a_0, b_k = -(1/a_0) sum_{j=1..k} a_j b_{k-j}."""
+    a = [Fraction(c) for c in coeffs]
+    b0 = 1 / a[0]
+    out = [b0]
+    for k in range(1, len(a)):
+        acc = 0
+        for j in range(1, k + 1):
+            acc = acc + a[j] * out[k - j]
+        out.append(-(b0 * acc))
+    return out
 
 
 def polylog_double_sum_oracle(index, order):
@@ -130,6 +150,30 @@ def test_invert_frobenius_euler_base_against_geometric_oracle():
     assert tuple(base.invert().coefficients) == tuple(geometric_inverse_oracle(8))
     kernel = frobenius_euler_kernel(1, 2, 4)
     assert kernel.coefficients[:3] == (1, 1, Fraction(3, 2))
+
+
+@given(any_invertible_coeffs)
+def test_integer_invert_matches_fraction_loop(coeffs):
+    inverse = TruncatedSeries(coeffs).invert()
+    assert list(inverse.coefficients) == fraction_loop_inverse(coeffs)
+    assert all(type(c) is Fraction for c in inverse.coefficients)
+
+
+@pytest.mark.parametrize("c0", [1, -1, 2, -3, Fraction(-3, 4), Fraction(5, 7)])
+@pytest.mark.parametrize("order", [0, 1, 13])
+def test_integer_invert_non_unit_constant_terms(c0, order):
+    coeffs = [c0] + [Fraction((-1) ** j * (j + 2), j + 1) for j in range(1, order + 1)]
+    inverse = TruncatedSeries(coeffs).invert()
+    assert inverse.order == order
+    assert list(inverse.coefficients) == fraction_loop_inverse(coeffs)
+
+
+def test_integer_invert_of_a_high_order_kernel():
+    # numerators over a large common denominator, where the reduced running
+    # denominator matters; the scaled kernel has a non-unit constant term
+    kernel = mixed_kernel(3, -3, Fraction(-3, 5), 40)
+    for series in (kernel, kernel * Fraction(-7, 3)):
+        assert list(series.invert().coefficients) == fraction_loop_inverse(series.coefficients)
 
 
 def test_invert_requires_invertible_constant():
