@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Run every identity verifier on the default sweep grid and print a
-summary table.  Counterexamples, if any, are printed as JSON.  After the
-TOTAL line come the hits and misses of each memoised kernel builder in
-this process; pool workers (``--jobs`` > 1) keep caches of their own,
-which are not shown."""
+summary table.  The seconds column is this script's own clock, read as
+each report arrives: a row's time is the gap since the previous report,
+the verifier's sweep.  Counterexamples, if any, are printed as JSON.
+After the TOTAL line come the hits and misses of each memoised kernel
+builder in this process; pool workers (``--jobs`` > 1) keep caches of
+their own, which are not shown."""
 
 import argparse
 import json
 import os
 import sys
-import time
+from time import perf_counter
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -29,23 +31,27 @@ def cache_lines() -> list:
     return lines
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                         help="grid parallelism degree (default: all cores)")
     parser.add_argument("--collect-all", action="store_true")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error("--jobs must be at least 1")
 
     ok = True
-    started = time.perf_counter()
+    started = previous = perf_counter()
     for report in verify_all(DEFAULT_GRID, collect_all=args.collect_all, jobs=args.jobs):
+        now = perf_counter()
         ok = ok and report.passed
         print(f"{report.identity:12s} {report.status:5s} "
-              f"checked={report.checked:7d} {report.elapsed_ms/1000:8.2f}s")
+              f"checked={report.checked:7d} {now - previous:8.2f}s")
+        previous = now
         for failure in report.counterexamples:
             print("  counterexample:", json.dumps(failure))
     print(f"{'TOTAL':12s} {'pass' if ok else 'FAIL':5s} "
-          f"{'':16s}{time.perf_counter() - started:8.2f}s")
+          f"{'':16s}{perf_counter() - started:8.2f}s")
     print("kernel caches of the sweeping process (pool workers keep their own):")
     print("\n".join(cache_lines()))
     return 0 if ok else 1

@@ -19,15 +19,19 @@ the two Sheffer pairs and the solve route only the integer numerators of
 the polynomials and the basis.  Neither calls the other or any
 closed-form summation, so each stays an independent check of the others
 in the ``bases`` verifier.
+
+A sweep's outcome is a `VerificationReport`: the identity, its grid, the
+number of comparisons and the counterexamples found, and nothing else;
+its status is read from the counterexamples, and callers that want
+timings take them with their own clock.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm, perm
 from operator import mul
-from time import perf_counter
 
 from .polynomials import Polynomial, X, _common_denominator
 from .series import TruncatedSeries, exp_series
@@ -49,30 +53,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of an exact identity sweep.
+    """Outcome of an exact identity sweep: what was checked and what failed.
 
-    ``status`` is "pass" exactly when no counterexample was found;
-    ``counterexample`` holds the first failing parameter tuple together
-    with both computed sides.  ``counterexamples`` carries every recorded
-    failure when a sweep ran in collect-all mode.  ``elapsed_ms`` is wall
-    time, kept out of `to_jsonable` so that reports are byte-deterministic.
+    ``counterexamples`` holds the recorded failures, each a parameter
+    tuple together with both computed sides: at most one in fail-fast
+    mode, every failure in collect-all mode.  ``passed``, ``status`` and
+    ``counterexample`` (the first failure) are read from it.  A report
+    holds no timing, so equal sweeps give equal reports and `to_jsonable`
+    is byte-deterministic.
     """
 
     identity: str
     grid: dict
-    status: str
-    counterexample: dict | None
-    elapsed_ms: float
     checked: int = 0
-    counterexamples: tuple = field(default=())
-
-    def __post_init__(self):
-        if (self.status == "pass") != (self.counterexample is None):
-            raise ValueError("status must be 'pass' exactly when there is no counterexample")
+    counterexamples: tuple = ()
 
     @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return not self.counterexamples
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.passed else "fail"
+
+    @property
+    def counterexample(self) -> dict | None:
+        return self.counterexamples[0] if self.counterexamples else None
 
     def to_jsonable(self) -> dict:
         out = {
@@ -80,25 +86,12 @@ class VerificationReport:
             "grid": self.grid,
             "status": self.status,
         }
-        if self.counterexample is not None:
+        if self.counterexamples:
             out["counterexample"] = self.counterexample
         if len(self.counterexamples) > 1:
             out["counterexamples"] = list(self.counterexamples)
         out["checked"] = self.checked
         return out
-
-
-def _report(identity, grid, failures, checked, started, collect_all=False) -> VerificationReport:
-    elapsed = (perf_counter() - started) * 1000.0
-    return VerificationReport(
-        identity=identity,
-        grid=grid,
-        status="pass" if not failures else "fail",
-        counterexample=failures[0] if failures else None,
-        elapsed_ms=elapsed,
-        checked=checked,
-        counterexamples=tuple(failures) if collect_all else tuple(failures[:1]),
-    )
 
 
 def pairing(functional: TruncatedSeries, p: Polynomial) -> Fraction:
@@ -178,7 +171,6 @@ def sheffer_polynomials(pair: ShefferPair, n_max: int) -> list:
 def sheffer_orthogonality_check(pair: ShefferPair, polys, n_max: int) -> VerificationReport:
     """Check the biorthogonality <g f^k | S_n> = n! delta_{n,k} for all
     0 <= n, k <= n_max."""
-    started = perf_counter()
     if pair.order < n_max:
         raise ValueError("pair truncation order must be at least n_max")
     failures = []
@@ -198,8 +190,8 @@ def sheffer_orthogonality_check(pair: ShefferPair, polys, n_max: int) -> Verific
             break
         if k < n_max:
             fk = fk * pair.f
-    return _report(
-        "sheffer-orthogonality", {"n_max": n_max}, failures, checked, started
+    return VerificationReport(
+        "sheffer-orthogonality", {"n_max": n_max}, checked, tuple(failures)
     )
 
 

@@ -400,14 +400,8 @@ def test_family_lists_are_fresh_objects():
     assert first == second and first is not second
 
 
-def test_full_verification_script_reports_every_cache():
-    import importlib.util
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parent.parent / "scripts" / "run_full_verification.py"
-    spec = importlib.util.spec_from_file_location("run_full_verification", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+def test_full_verification_script_reports_every_cache(verification_script):
+    script = verification_script
     bernoulli_kernel(1, 3)
     bernoulli_kernel(1, 3)
     lines = {line.split()[0]: line for line in script.cache_lines()}

@@ -10,12 +10,15 @@ import pytest
 
 from umbralcalc import identities
 from umbralcalc.families import (
+    bernoulli_kernel,
+    bernoulli_polys,
     frobenius_euler_numbers,
     mixed_type_numbers,
     mixed_type_polys,
     stirling2_triangle,
 )
 from umbralcalc.polynomials import Polynomial, _common_denominator
+from umbralcalc.umbral import VerificationReport, sheffer_orthogonality_check
 from umbralcalc.identities import (
     DEFAULT_GRID,
     SPECS,
@@ -23,6 +26,7 @@ from umbralcalc.identities import (
     VERIFIERS,
     SweepGrid,
     _sweep,
+    appell_pair,
     verify_all,
     verify_basis_expansions,
     verify_closed_forms,
@@ -70,9 +74,76 @@ def test_report_json_shape():
     assert payload["status"] == "pass"
     assert "counterexample" not in payload
     assert payload["grid"]["n_max"] == 3
-    # wall time stays on the dataclass and out of the byte-deterministic JSON
+    # a report holds no wall time, so its JSON is byte-deterministic
     assert "elapsed_ms" not in payload
-    assert isinstance(report.elapsed_ms, float)
+    assert not hasattr(report, "elapsed_ms")
+
+
+VACUOUS_GRID = {"n_min": 0, "n_max": 0, "r": [1], "k": [1], "lambda": ["2"]}
+
+
+def _payloads():
+    # report paths that no golden line covers: the vacuous pass of a
+    # verifier whose degree floor lies above the grid, and both outcomes
+    # of the Sheffer biorthogonality check
+    grid = SweepGrid(
+        n_max=0, r_values=(1,), k_values=(1,), lambda_values=(Fraction(2),),
+        s_values=(0,), mu_values=(Fraction(3),),
+    )
+    reports = {report.identity: report for report in verify_all(grid)}
+    pair = appell_pair(bernoulli_kernel(1, 9))
+    polys = bernoulli_polys(8, 1)
+    broken = list(polys)
+    broken[3] = broken[3] + 1
+    return [
+        reports["thm4"],
+        reports["thm5"],
+        sheffer_orthogonality_check(pair, polys, 8),
+        sheffer_orthogonality_check(pair, broken, 4),
+    ]
+
+
+def test_uncovered_report_payloads_are_pinned():
+    assert [json.dumps(report.to_jsonable()) for report in _payloads()] == [
+        json.dumps({"id": "thm4", "grid": VACUOUS_GRID, "status": "pass", "checked": 0}),
+        json.dumps({"id": "thm5", "grid": VACUOUS_GRID, "status": "pass", "checked": 0}),
+        json.dumps({"id": "sheffer-orthogonality", "grid": {"n_max": 8},
+                    "status": "pass", "checked": 81}),
+        json.dumps({"id": "sheffer-orthogonality", "grid": {"n_max": 4}, "status": "fail",
+                    "counterexample": {"n": 3, "k": 0, "lhs": "1", "rhs": "0"},
+                    "checked": 4}),
+    ]
+
+
+def test_full_verification_script_times_the_gaps_between_reports(
+    verification_script, monkeypatch, capsys
+):
+    script = verification_script
+    reports = [
+        VerificationReport("one", {}, 3),
+        VerificationReport("two", {}, 5, ({"n": 1},)),
+    ]
+    monkeypatch.setattr(script, "verify_all", lambda grid, collect_all, jobs: iter(reports))
+    # start, one report, the other, then the TOTAL line
+    monkeypatch.setattr(script, "perf_counter", iter([10.0, 11.5, 15.25, 16.0]).__next__)
+    assert script.main(["--jobs", "1"]) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0].split() == ["one", "pass", "checked=", "3", "1.50s"]
+    assert rows[1].split() == ["two", "fail", "checked=", "5", "3.75s"]
+    assert rows[2] == '  counterexample: {"n": 1}'
+    assert rows[3].split() == ["TOTAL", "FAIL", "6.00s"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_full_verification_script_rejects_jobs_below_one(
+    verification_script, monkeypatch, capsys, jobs
+):
+    script = verification_script
+    monkeypatch.setattr(script, "verify_all", None)  # never reached
+    with pytest.raises(SystemExit) as exit_info:
+        script.main([f"--jobs={jobs}"])
+    assert exit_info.value.code == 2
+    assert "error: --jobs must be at least 1" in capsys.readouterr().err
 
 
 def test_degree_floors_are_enforced():

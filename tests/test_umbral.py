@@ -215,12 +215,29 @@ def test_expand_in_basis_validates():
         expand_in_basis([Polynomial([1])], [])
 
 
-def test_report_consistency_enforced():
-    with pytest.raises(ValueError):
-        VerificationReport(
-            identity="x", grid={}, status="pass",
-            counterexample={"n": 0}, elapsed_ms=0.0,
-        )
+FAILURES = (
+    {"n": 3, "k": 0, "lhs": "1", "rhs": "0"},
+    {"n": 5, "k": 1, "lhs": "2", "rhs": "0"},
+)
+
+
+@pytest.mark.parametrize("found", [0, 1, 2])
+def test_report_is_read_from_its_counterexamples(found):
+    failures = FAILURES[:found]
+    report = VerificationReport("x", {"n_max": 5}, 7, failures)
+    assert report.passed == (found == 0)
+    assert report.status == ("fail" if found else "pass")
+    assert report.counterexample == (failures[0] if found else None)
+    payload = report.to_jsonable()
+    keys = ["id", "grid", "status"]
+    keys += ["counterexample"] if found else []
+    keys += ["counterexamples"] if found > 1 else []
+    assert list(payload) == keys + ["checked"]
+    assert payload["status"] == report.status and payload["checked"] == 7
+    if found:
+        assert payload["counterexample"] == FAILURES[0]
+    if found > 1:
+        assert payload["counterexamples"] == list(FAILURES)
 
 
 @given(functionals, functionals, polys)
