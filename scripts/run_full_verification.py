@@ -4,8 +4,9 @@ summary table.  The seconds column is this script's own clock, read as
 each report arrives: a row's time is the gap since the previous report,
 the verifier's sweep.  Counterexamples, if any, are printed as JSON.
 After the TOTAL line come the hits and misses of each memoised kernel
-builder in this process; pool workers (``--jobs`` > 1) keep caches of
-their own, which are not shown."""
+builder in this process.  With ``--jobs`` > 1 the grid points run in one
+pool of worker processes for the whole sweep; each worker keeps its caches
+from one verifier to the next, and those caches are not shown."""
 
 import argparse
 import json
@@ -16,7 +17,7 @@ from time import perf_counter
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from umbralcalc import families
-from umbralcalc.identities import DEFAULT_GRID, verify_all
+from umbralcalc.identities import DEFAULT_GRID, usable_cpus, verify_all
 
 
 def cache_lines() -> list:
@@ -33,8 +34,8 @@ def cache_lines() -> list:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="grid parallelism degree (default: all cores)")
+    parser.add_argument("--jobs", type=int, default=usable_cpus(),
+                        help="grid parallelism degree (default: every usable CPU)")
     parser.add_argument("--collect-all", action="store_true")
     args = parser.parse_args(argv)
     if args.jobs < 1:
@@ -52,7 +53,7 @@ def main(argv=None) -> int:
             print("  counterexample:", json.dumps(failure))
     print(f"{'TOTAL':12s} {'pass' if ok else 'FAIL':5s} "
           f"{'':16s}{perf_counter() - started:8.2f}s")
-    print("kernel caches of the sweeping process (pool workers keep their own):")
+    print("kernel caches of this process (pool workers keep theirs for the run, not shown):")
     print("\n".join(cache_lines()))
     return 0 if ok else 1
 

@@ -32,11 +32,15 @@ Grids are traversed in a fixed documented order (r, then k, then lambda,
 then the extra axes, then the degree n), so the first counterexample of a
 failing sweep is deterministic.  Grid points are independent pure
 computations; with ``jobs > 1`` they are evaluated in a process pool of
-at most ``min(jobs, cpu count, task count)`` workers and joined back in
-traversal order, which keeps reports order-stable.  Data that every point
-of a sweep reads (the target bases of ``bases``) is built once per sweep
-and sent once to each worker, not with every task.  A fail-fast sweep
-cancels the tasks not yet started once a counterexample arrives.
+``min(jobs, usable CPUs, grid points)`` workers and joined back in
+traversal order, which keeps reports order-stable.  `verify_all` opens
+one pool for the whole run, so its workers start once and keep their
+kernel caches from one verifier to the next; a verifier called on its own
+opens and shuts a pool of its own.  Data that every point of a sweep reads
+(the target bases of ``bases``) is memoised per process: each process
+builds it once from the grid, which is all a task carries.  A fail-fast
+sweep cancels its own tasks not yet started once a counterexample arrives
+and leaves the pool to the next sweep.
 
 Each sweep returns one `VerificationReport` built from the runner's
 counts and counterexamples alone.  No sweep reads a clock, so serial and
@@ -48,10 +52,12 @@ does between the reports that `verify_all` yields.
 from __future__ import annotations
 
 import os
+import threading
 from collections.abc import Callable
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import comb, factorial, lcm
 from operator import mul
 
@@ -113,6 +119,7 @@ __all__ = [
     "verify_basis_expansions",
     "verify_foundations",
     "verify_all",
+    "usable_cpus",
 ]
 
 
@@ -207,41 +214,54 @@ def _run_checks(checks, collect_all, task):
     return checked, failures
 
 
-#: Data shared by every task of the running sweep (see `VerifierSpec`), set
-#: by `_share` in the sweeping process when it runs the tasks itself, or
-#: once in each pool worker by the pool's initializer.
-_SHARED = None
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _share(shared) -> None:
-    global _SHARED
-    _SHARED = shared
+@contextmanager
+def _pool(jobs, points):
+    """A process pool of ``min(jobs, usable CPUs, points)`` workers, shut
+    down on exit, or None when that is one worker: the tasks then run in
+    this process."""
+    workers = min(jobs, usable_cpus(), points)
+    if workers <= 1:
+        yield None
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
-def _sweep(identity, grid_desc, tasks, worker, collect_all, jobs, shared=None) -> VerificationReport:
+#: ``pool``: the pool of the `verify_all` running in this thread, set
+#: only while one of its verifiers runs; a sweep outside `verify_all`
+#: opens a pool of its own.
+_RUN = threading.local()
+
+
+def _sweep(identity, grid_desc, tasks, worker, collect_all, jobs) -> VerificationReport:
     failures = []
     checked = 0
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
-    pool = None
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # the shared data travels once per worker, not with every task
-        init = {} if shared is None else {"initializer": _share, "initargs": (shared,)}
-        pool = ProcessPoolExecutor(max_workers=workers, **init)
-    else:
-        _share(shared)
-    try:
-        for task_checked, task_failures in (pool.map if pool else map)(worker, tasks):
-            checked += task_checked
-            failures.extend(task_failures)
-            if failures and not collect_all:
-                break
-    finally:
-        if pool:
-            # after a fail-fast break, drop the tasks no worker has started
-            pool.shutdown(cancel_futures=True)
-        _share(None)
+    run_pool = getattr(_RUN, "pool", None)
+    with nullcontext(run_pool) if run_pool else _pool(jobs, len(tasks)) as pool:
+        results = pool.map(worker, tasks) if pool else map(worker, tasks)
+        try:
+            for task_checked, task_failures in results:
+                checked += task_checked
+                failures.extend(task_failures)
+                if failures and not collect_all:
+                    break
+        finally:
+            if pool:
+                # cancels this sweep's tasks that no worker has started
+                results.close()
     # a fail-fast sweep stops at its first failure, so it keeps at most one
     return VerificationReport(identity, grid_desc, checked, tuple(failures))
 
@@ -486,13 +506,15 @@ def _integer_rows(rows) -> tuple:
     return [[c * (den // d) for c in num] for num, d in pairs], den
 
 
+@lru_cache(maxsize=1)
 def _basis_instances(grid: SweepGrid, n_top: int) -> dict:
     """Target data shared by every (r, k, lambda) task, per basis instance
     in sweep order (targets in table order, each over s and then mu where
     it is indexed by them): the basis polynomials, their coefficients as
     integer rows over one denominator, and the Sheffer pair; beside them,
     in the same order, the monomials expanded in each basis for the
-    triangular solve."""
+    triangular solve.  Memoised, so each process builds it once per sweep
+    and every task of the sweep reads the same data."""
     order = max(n_top, 1)
     instances = []
     expansions = []
@@ -570,8 +592,8 @@ def _reconstruct(row, basis_rows, basis_den) -> Polynomial:
     return _make(_combine(coeffs, basis_rows, len(row)), den * basis_den)
 
 
-def _basis_task(r, k, lam, ns):
-    shared = _SHARED
+def _basis_task(r, k, lam, ns, grid):
+    shared = _basis_instances(grid, max(ns))
     n_top = shared["n_top"]
     order = shared["order"]
     s2 = shared["s2"]
@@ -656,20 +678,18 @@ def _foundations_task(r, k, lam, ns):
 @dataclass(frozen=True)
 class VerifierSpec:
     """One row of the verifier table: the task run per (r, k, lambda)
-    point, the smallest degree the identity is stated for, whether the
-    report's grid lists the s and mu axes, and an optional builder of data
-    shared by every task, called as ``shared(grid, n_top)``.
+    point, the smallest degree the identity is stated for, and whether the
+    task also sweeps the s and mu axes, which the report's grid then lists.
 
-    The task is a generator called as ``task(r, k, lam, ns)``.  It computes
-    both sides of every comparison itself and yields each as ``(n, check,
-    lhs, rhs, extra)``; ``_run_checks`` alone counts, compares and stops.
-    A task with a shared builder reads the built data from ``_SHARED``,
-    which `_sweep` sets once per process, so the task tuples stay small."""
+    The task is a generator called as ``task(r, k, lam, ns)``, or as
+    ``task(r, k, lam, ns, grid=grid)`` when it sweeps the s and mu axes.
+    It computes both sides of every comparison itself and yields each as
+    ``(n, check, lhs, rhs, extra)``; ``_run_checks`` alone counts, compares
+    and stops."""
 
     task: Callable
     floor: int = 0
     with_s_mu: bool = False
-    shared: Callable | None = None
 
     def require_degrees(self, grid: SweepGrid) -> None:
         """Reject a grid reaching below the identity's stated degrees."""
@@ -695,7 +715,7 @@ SPECS = {
     # expansion in every target basis, with the connection constants
     # computed three ways: closed-form summation, umbral pairing and an
     # exact triangular solve; basis instances are swept inside each point
-    "bases": VerifierSpec(_basis_task, with_s_mu=True, shared=_basis_instances),
+    "bases": VerifierSpec(_basis_task, with_s_mu=True),
     # the derivative rule, both convolutions, the binomial expansion, the
     # two poly-Bernoulli actions on monomials against the operator route,
     # and the order-zero degeneration
@@ -709,16 +729,16 @@ def _verify(identity, grid, collect_all, jobs) -> VerificationReport:
     spec = SPECS[identity]
     spec.require_degrees(grid)
     ns = grid.degrees()
-    shared = None if spec.shared is None else spec.shared(grid, max(ns))
     tasks = [
         (r, k, lam, ns)
         for r in grid.r_values
         for k in grid.k_values
         for lam in grid.lambda_values
     ]
-    axes = _axes(grid, spec.with_s_mu)
-    worker = partial(_run_checks, spec.task, collect_all)
-    return _sweep(identity, axes, tasks, worker, collect_all, jobs, shared)
+    # a task carries the grid, never the data built from it
+    checks = partial(spec.task, grid=grid) if spec.with_s_mu else spec.task
+    worker = partial(_run_checks, checks, collect_all)
+    return _sweep(identity, _axes(grid, spec.with_s_mu), tasks, worker, collect_all, jobs)
 
 
 def _verifier(identity):
@@ -745,12 +765,22 @@ def verify_all(grid: SweepGrid = DEFAULT_GRID, collect_all=False, jobs=1):
 
     Identities stated only from some minimum degree get the grid clamped
     to that degree; if the clamp empties the degree range the verifier is
-    reported as a vacuous pass.
+    reported as a vacuous pass.  With ``jobs > 1`` every verifier runs in
+    one process pool, shut down when the run ends, raises or is closed.
     """
-    for identity, verifier in VERIFIERS.items():
-        floor = SPECS[identity].floor
-        if grid.n_max < floor:
-            yield VerificationReport(identity, _axes(grid))
-            continue
-        g = grid if grid.n_min >= floor else replace(grid, n_min=floor)
-        yield verifier(g, collect_all=collect_all, jobs=jobs)
+    points = len(grid.r_values) * len(grid.k_values) * len(grid.lambda_values)
+    with _pool(jobs, points) as pool:
+        for identity, verifier in VERIFIERS.items():
+            floor = SPECS[identity].floor
+            if grid.n_max < floor:
+                yield VerificationReport(identity, _axes(grid))
+                continue
+            g = grid if grid.n_min >= floor else replace(grid, n_min=floor)
+            # the pool is this run's only while its verifier runs, not
+            # across the yield
+            _RUN.pool = pool
+            try:
+                report = verifier(g, collect_all=collect_all, jobs=jobs)
+            finally:
+                _RUN.pool = None
+            yield report

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from umbralcalc import identities
-from umbralcalc.identities import SPECS, VERIFIERS, SweepGrid
+from umbralcalc.identities import SPECS, VERIFIERS, SweepGrid, verify_all
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "counterexample_reports.jsonl"
 
@@ -111,6 +111,17 @@ def test_counterexample_report_matches_golden(defective, identity, collect_all, 
     payload = _payload(identity, collect_all, jobs)
     assert json.loads(payload)["report"]["status"] == "fail"
     assert payload == _golden()[identity, collect_all, jobs]
+
+
+@pytest.mark.parametrize("collect_all", [False, True])
+def test_one_pool_run_reports_as_the_serial_run(defective, monkeypatch, collect_all):
+    # a fail-fast verifier's cancelled or still-running tasks must not reach
+    # the next verifier's report in the pool they share
+    monkeypatch.setattr(identities, "usable_cpus", lambda: 2)
+    serial = [r.to_jsonable() for r in verify_all(GRID, collect_all=collect_all, jobs=1)]
+    pooled = [r.to_jsonable() for r in verify_all(GRID, collect_all=collect_all, jobs=2)]
+    assert pooled == serial
+    assert [r["status"] for r in serial] == ["fail"] * len(SPECS)
 
 
 if __name__ == "__main__":

@@ -134,6 +134,19 @@ def test_full_verification_script_times_the_gaps_between_reports(
     assert rows[3].split() == ["TOTAL", "FAIL", "6.00s"]
 
 
+def test_full_verification_script_defaults_to_the_usable_cpus(
+    verification_script, monkeypatch
+):
+    script = verification_script
+    seen = []
+    monkeypatch.setattr(script, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(
+        script, "verify_all", lambda grid, collect_all, jobs: seen.append(jobs) or iter(())
+    )
+    assert script.main([]) == 0
+    assert seen == [3]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_full_verification_script_rejects_jobs_below_one(
     verification_script, monkeypatch, capsys, jobs
@@ -269,11 +282,13 @@ class _RecordingExecutor:
 
     def __init__(self, max_workers):
         self.max_workers = max_workers
+        self.maps = 0
         self.handed_out = 0
         self.shutdown_calls = []
         _RecordingExecutor.instances.append(self)
 
     def map(self, fn, iterable):
+        self.maps += 1
         for item in iterable:
             self.handed_out += 1
             yield fn(item)
@@ -286,7 +301,7 @@ class _RecordingExecutor:
 def fake_pool(monkeypatch):
     _RecordingExecutor.instances.clear()
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
-    monkeypatch.setattr(identities.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(identities, "usable_cpus", lambda: 4)
     return _RecordingExecutor.instances
 
 
@@ -319,6 +334,85 @@ def test_sweep_collect_all_drains_every_task(fake_pool):
     assert [f["n"] for f in report.counterexamples] == [3, 5]
     (pool,) = fake_pool
     assert pool.handed_out == 8
+
+
+def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
+    _RecordingExecutor.instances.clear()
+    monkeypatch.setattr(identities.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(identities.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert identities.usable_cpus() == 1
+    tasks = [(i, ()) for i in range(8)]
+    assert _sweep("toy", {"n_max": 7}, tasks, _flaky_worker, False, 4).checked == 8
+    assert _RecordingExecutor.instances == []  # one usable CPU, no pool
+    monkeypatch.delattr(identities.os, "sched_getaffinity")
+    assert identities.usable_cpus() == 2
+
+
+POOL_GRID = replace(SMALL, n_max=4, r_values=(-1, 2), lambda_values=(Fraction(2),))
+
+
+def test_verify_all_opens_one_pool_for_every_verifier(fake_pool):
+    reports = list(verify_all(POOL_GRID, jobs=2))
+    assert [report.identity for report in reports] == list(SPECS)
+    assert all(report.passed and report.checked for report in reports)  # thm4, thm5 clamped
+    (pool,) = fake_pool
+    assert pool.max_workers == 2 and pool.maps == len(SPECS) == 7
+    assert pool.shutdown_calls == [True]
+    assert identities._RUN.pool is None
+
+
+def test_direct_verifier_opens_and_shuts_its_own_pool(fake_pool):
+    assert VERIFIERS["thm3"](POOL_GRID, jobs=2).passed
+    (pool,) = fake_pool
+    assert pool.maps == 1 and pool.shutdown_calls == [True]
+
+
+@pytest.mark.parametrize(
+    "grid, jobs",
+    [(POOL_GRID, 1), (replace(POOL_GRID, r_values=(2,), k_values=(1,)), 4)],
+)
+def test_verify_all_on_one_worker_opens_no_pool(fake_pool, grid, jobs):
+    assert all(report.passed for report in verify_all(grid, jobs=jobs))
+    assert fake_pool == []
+
+
+@pytest.fixture
+def forked_pool(monkeypatch):
+    # two forked workers whatever the host, so the patched module reaches them
+    monkeypatch.setattr(identities, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(
+        concurrent.futures,
+        "ProcessPoolExecutor",
+        functools.partial(
+            concurrent.futures.ProcessPoolExecutor,
+            mp_context=multiprocessing.get_context("fork"),
+        ),
+    )
+
+
+def test_verify_all_leaves_no_process_running(forked_pool):
+    assert all(report.passed for report in verify_all(POOL_GRID, jobs=2))
+    assert multiprocessing.active_children() == []
+
+
+def test_closed_verify_all_leaves_no_process_running(forked_pool):
+    reports = verify_all(POOL_GRID, jobs=2)
+    assert next(reports).identity == "thm1-2"
+    reports.close()
+    assert multiprocessing.active_children() == []
+    assert identities._RUN.pool is None
+
+
+def test_raising_worker_leaves_no_process_running(forked_pool, monkeypatch):
+    def broken(*args):
+        raise ArithmeticError("planted")
+
+    monkeypatch.setattr(identities, "mixed_type_polys", broken)
+    with pytest.raises(ArithmeticError, match="planted"):
+        list(verify_all(POOL_GRID, jobs=2))
+    assert multiprocessing.active_children() == []
+    assert identities._RUN.pool is None
 
 
 def test_default_grid_matches_documented_sweep():

@@ -387,11 +387,14 @@ def test_integer_solve_matches_fraction_oracle_on_general_bases(basis, to_expand
 
 
 def test_bases_tasks_leave_the_shared_data_out(monkeypatch):
-    # the basis data goes to each pool worker once, not with every task
+    # a task carries the grid; each process builds the basis data from it once
     recorded = []
     monkeypatch.setattr(identities, "_sweep", lambda *args: recorded.append(args))
-    identities.verify_basis_expansions(identities.DEFAULT_GRID, jobs=2)
-    ((_, _, tasks, worker, _, _, shared),) = recorded
+    grid = identities.DEFAULT_GRID
+    identities.verify_basis_expansions(grid, jobs=2)
+    ((_, _, tasks, worker, _, _),) = recorded
     assert len(tasks) == 210
     assert max(len(pickle.dumps((worker, task))) for task in tasks) < 1024
+    shared = identities._basis_instances(grid, grid.n_max)
+    assert identities._basis_instances(grid, grid.n_max) is shared
     assert len(pickle.dumps(shared)) > 30_000
