@@ -11,44 +11,20 @@ independently computed sides.
 """
 
 from .families import (
-    bernoulli_numbers,
-    bernoulli_poly,
-    bernoulli_polys,
-    euler_poly,
-    euler_polys,
-    frobenius_euler_numbers,
-    frobenius_euler_poly,
-    frobenius_euler_polys,
+    KERNELS,
+    family_numbers,
+    family_polys,
     mixed_kernel,
-    mixed_type_numbers,
-    mixed_type_poly,
-    mixed_type_polys,
     poly_bernoulli_kernel,
-    poly_bernoulli_numbers,
-    poly_bernoulli_poly,
-    poly_bernoulli_polys,
     polylog_series,
     stirling2,
     stirling2_triangle,
 )
-from .identities import (
-    DEFAULT_GRID,
-    VERIFIERS,
-    SweepGrid,
-    verify_all,
-    verify_alternating_sum,
-    verify_basis_expansions,
-    verify_closed_forms,
-    verify_derivative_expansion,
-    verify_derived_recurrence,
-    verify_foundations,
-    verify_step_recurrence,
-)
+from .identities import DEFAULT_GRID, VERIFIERS, SweepGrid, verify_all
 from .polynomials import (
     Polynomial,
     X,
     falling_factorial,
-    format_rational,
     parse_rational,
     rising_factorial,
 )
@@ -59,7 +35,6 @@ from .umbral import (
     appell_next,
     apply_operator,
     connection_constants,
-    expand_in_basis,
     pairing,
     sheffer_orthogonality_check,
     sheffer_polynomials,

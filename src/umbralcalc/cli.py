@@ -26,15 +26,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .families import (
-    bernoulli_polys,
-    euler_polys,
-    frobenius_euler_polys,
-    mixed_kernel,
-    mixed_type_polys,
-    poly_bernoulli_polys,
-    stirling2_triangle,
-)
+from .families import family_polys, mixed_kernel, stirling2_triangle
 from .identities import (
     DEFAULT_GRID,
     SPECS,
@@ -184,38 +176,32 @@ def _flags(names) -> list:
 @dataclass(frozen=True)
 class Family:
     """A polynomial family of the table and eval commands: the arguments
-    it needs, its members of degrees 0..n as ``polys(args, n)`` and the
-    LaTeX name of its degree-n member as ``label(args, n)``."""
+    it needs, in the order its kernel builder (`families.KERNELS`) takes
+    them, and the LaTeX name of its degree-n member as ``label(args, n)``."""
 
     needs: tuple
-    polys: Callable
     label: Callable
 
 
 POLY_FAMILIES = {
     "bernoulli": Family(
         ("s",),
-        lambda a, n: bernoulli_polys(n, a.s),
         lambda a, n: f"\\mathbb{{B}}^{{({a.s})}}_{{{n}}}(x)",
     ),
     "euler": Family(
         ("s",),
-        lambda a, n: euler_polys(n, a.s),
         lambda a, n: f"E^{{({a.s})}}_{{{n}}}(x)",
     ),
     "frobenius-euler": Family(
         ("r", "lam"),
-        lambda a, n: frobenius_euler_polys(n, a.r, a.lam),
         lambda a, n: f"H^{{({a.r})}}_{{{n}}}(x \\mid {latex_rational(a.lam)})",
     ),
     "poly-bernoulli": Family(
         ("k",),
-        lambda a, n: poly_bernoulli_polys(n, a.k),
         lambda a, n: f"B^{{({a.k})}}_{{{n}}}(x)",
     ),
     "mixed-T": Family(
         ("r", "k", "lam"),
-        lambda a, n: mixed_type_polys(n, a.r, a.k, a.lam),
         lambda a, n: f"T^{{({a.r},{a.k})}}_{{{n}}}(x \\mid {latex_rational(a.lam)})",
     ),
 }
@@ -227,7 +213,7 @@ def _family_polys(args, n_max: int) -> list:
     missing = _flags(name for name in family.needs if getattr(args, name) is None)
     if missing:
         raise CliError(f"family {args.family!r} needs {', '.join(missing)}")
-    return family.polys(args, n_max)
+    return family_polys(args.family, n_max, *[getattr(args, name) for name in family.needs])
 
 
 def _param_cell(args, name):
@@ -355,12 +341,16 @@ def _run_verify(args) -> int:
     identity = args.identity
     # a usage error must not truncate an existing output file, so the grid
     # is checked before the file is opened
-    if identity == "all":
-        grid = _build_grid(args, n_min=args.n_min if args.n_min is not None else 0)
-    else:
-        spec = SPECS[identity]
-        grid = _build_grid(args, n_min=args.n_min if args.n_min is not None else spec.floor)
-        spec.require_degrees(grid)
+    # with no --n-min a grid starts at the identity's floor ('all' clamps
+    # each verifier to its own), so only --n-max can fall below it
+    floor = 0 if identity == "all" else SPECS[identity].floor
+    if args.n_min is None and args.n_max is not None and args.n_max < floor:
+        raise CliError(
+            f"{identity} is stated for degrees n >= {floor}; --n-max must be at least {floor}"
+        )
+    grid = _build_grid(args, n_min=floor if args.n_min is None else args.n_min)
+    if identity != "all":
+        SPECS[identity].require_degrees(grid)
     sink = sys.stdout if args.output is None else open(args.output, "w", newline="")
     close_sink = args.output is not None
     all_passed = True

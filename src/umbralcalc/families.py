@@ -30,6 +30,11 @@ Kernels (all with constant term 1, so every family is monic):
 * poly-Bernoulli, index k:       Li_k(1 - e^{-t})/(1 - e^{-t})
 * mixed type (r, k):             the product of the first and the last
 
+`KERNELS` maps each family's name to its kernel builder, and the two
+functions that read it, `family_polys` and `family_numbers`, expand any
+family: ``family_polys("mixed-T", n, r, k, lam)`` is T_0..T_n, and
+``family_numbers("bernoulli", n, 1)`` the Bernoulli numbers B_0..B_n.
+
 Negative orders r and indices k <= 0 are fully supported: negative powers
 go through the reciprocal series (invertible, constant term 1), and the
 polylogarithm is the finite truncated sum, a formal series for any
@@ -49,8 +54,8 @@ keeps no third series per key; and everything that takes a series or
 returns a list.  `polys_from_kernel` and `numbers_from_kernel` would be
 keyed on series values, so equal kernels built by different routes
 (``mixed_kernel(0, k, lam, n)`` and ``poly_bernoulli_kernel(k, n)``) would
-share one entry and the checks comparing them would read it twice; and the
-family functions return mutable lists.
+share one entry and the checks comparing them would read it twice; and
+`family_polys` and `family_numbers` return mutable lists.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ from functools import lru_cache
 from math import factorial, gcd
 from operator import mul
 
-from .polynomials import Polynomial, _common_denominator, _make
+from .polynomials import _common_denominator, _make
 from .series import TruncatedSeries, exp_series
 
 __all__ = [
@@ -77,20 +82,9 @@ __all__ = [
     "mixed_kernel",
     "polys_from_kernel",
     "numbers_from_kernel",
-    "bernoulli_poly",
-    "bernoulli_polys",
-    "bernoulli_numbers",
-    "euler_poly",
-    "euler_polys",
-    "frobenius_euler_poly",
-    "frobenius_euler_polys",
-    "frobenius_euler_numbers",
-    "poly_bernoulli_poly",
-    "poly_bernoulli_polys",
-    "poly_bernoulli_numbers",
-    "mixed_type_poly",
-    "mixed_type_polys",
-    "mixed_type_numbers",
+    "KERNELS",
+    "family_polys",
+    "family_numbers",
 ]
 
 
@@ -265,73 +259,27 @@ def numbers_from_kernel(kernel: TruncatedSeries, n_max: int) -> list:
     return [factorial(n) * kernel.coefficient(n) for n in range(n_max + 1)]
 
 
-def bernoulli_polys(n_max: int, s: int) -> list:
-    """Higher-order Bernoulli polynomials of order s, degrees 0..n_max."""
+#: The kernel builder of each polynomial family, by the family's name.  A
+#: builder takes the family's parameters and then the truncation order.
+KERNELS = {
+    "bernoulli": bernoulli_kernel,
+    "euler": euler_kernel,
+    "frobenius-euler": frobenius_euler_kernel,
+    "poly-bernoulli": poly_bernoulli_kernel,
+    "mixed-T": mixed_kernel,
+}
+
+
+def family_polys(family: str, n_max: int, *params) -> list:
+    """Members of degrees 0..n_max of the named family at the given
+    parameters, e.g. ``family_polys("mixed-T", n, r, k, lam)``."""
     _require_degree(n_max)
-    return polys_from_kernel(bernoulli_kernel(s, n_max), n_max)
+    return polys_from_kernel(KERNELS[family](*params, n_max), n_max)
 
 
-def bernoulli_poly(n: int, s: int) -> Polynomial:
-    return bernoulli_polys(n, s)[n]
-
-
-def bernoulli_numbers(n_max: int) -> list:
-    """Ordinary Bernoulli numbers B_0..B_{n_max} (B_1 = -1/2)."""
+def family_numbers(family: str, n_max: int, *params) -> list:
+    """The family's numbers p_0(0)..p_{n_max}(0), e.g. the ordinary
+    Bernoulli numbers as ``family_numbers("bernoulli", n, 1)``
+    (B_1 = -1/2)."""
     _require_degree(n_max)
-    return numbers_from_kernel(bernoulli_kernel(1, n_max), n_max)
-
-
-def euler_polys(n_max: int, s: int) -> list:
-    """Higher-order Euler polynomials of order s, degrees 0..n_max."""
-    _require_degree(n_max)
-    return polys_from_kernel(euler_kernel(s, n_max), n_max)
-
-
-def euler_poly(n: int, s: int) -> Polynomial:
-    return euler_polys(n, s)[n]
-
-
-def frobenius_euler_polys(n_max: int, r: int, lam) -> list:
-    """Frobenius-Euler polynomials of order r at parameter lambda."""
-    _require_degree(n_max)
-    return polys_from_kernel(frobenius_euler_kernel(r, lam, n_max), n_max)
-
-
-def frobenius_euler_poly(n: int, r: int, lam) -> Polynomial:
-    return frobenius_euler_polys(n, r, lam)[n]
-
-
-def frobenius_euler_numbers(n_max: int, r: int, lam) -> list:
-    _require_degree(n_max)
-    return numbers_from_kernel(frobenius_euler_kernel(r, lam, n_max), n_max)
-
-
-def poly_bernoulli_polys(n_max: int, k: int) -> list:
-    """Poly-Bernoulli polynomials of index k, degrees 0..n_max."""
-    _require_degree(n_max)
-    return polys_from_kernel(poly_bernoulli_kernel(k, n_max), n_max)
-
-
-def poly_bernoulli_poly(n: int, k: int) -> Polynomial:
-    return poly_bernoulli_polys(n, k)[n]
-
-
-def poly_bernoulli_numbers(n_max: int, k: int) -> list:
-    _require_degree(n_max)
-    return numbers_from_kernel(poly_bernoulli_kernel(k, n_max), n_max)
-
-
-def mixed_type_polys(n_max: int, r: int, k: int, lam) -> list:
-    """Mixed-type Frobenius-Euler/poly-Bernoulli polynomials, degrees
-    0..n_max, for integer orders r, k and rational lambda != 1."""
-    _require_degree(n_max)
-    return polys_from_kernel(mixed_kernel(r, k, lam, n_max), n_max)
-
-
-def mixed_type_poly(n: int, r: int, k: int, lam) -> Polynomial:
-    return mixed_type_polys(n, r, k, lam)[n]
-
-
-def mixed_type_numbers(n_max: int, r: int, k: int, lam) -> list:
-    _require_degree(n_max)
-    return numbers_from_kernel(mixed_kernel(r, k, lam, n_max), n_max)
+    return numbers_from_kernel(KERNELS[family](*params, n_max), n_max)

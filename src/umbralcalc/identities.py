@@ -63,22 +63,15 @@ from operator import mul
 
 from .families import (
     bernoulli_kernel,
-    bernoulli_numbers,
-    bernoulli_polys,
     euler_kernel,
-    euler_polys,
     exp_minus_one,
+    family_numbers,
+    family_polys,
     frobenius_euler_kernel,
-    frobenius_euler_numbers,
-    frobenius_euler_polys,
     mixed_kernel,
-    mixed_type_numbers,
-    mixed_type_polys,
     numbers_from_kernel,
     one_minus_exp_neg,
     poly_bernoulli_kernel,
-    poly_bernoulli_numbers,
-    poly_bernoulli_polys,
     polylog_series,
     polys_from_kernel,
     require_not_one,
@@ -111,13 +104,6 @@ __all__ = [
     "SPECS",
     "TARGETS",
     "appell_pair",
-    "verify_closed_forms",
-    "verify_step_recurrence",
-    "verify_derived_recurrence",
-    "verify_derivative_expansion",
-    "verify_alternating_sum",
-    "verify_basis_expansions",
-    "verify_foundations",
     "verify_all",
     "usable_cpus",
 ]
@@ -159,6 +145,9 @@ class SweepGrid:
                 raise ValueError(f"{name} must be nonempty")
         if any(s < 0 for s in self.s_values):
             raise ValueError("s values must be nonnegative")
+        # tuples, so that a grid built from lists hashes like one from tuples
+        for name in ("r_values", "k_values", "s_values"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         object.__setattr__(
             self,
             "lambda_values",
@@ -301,8 +290,8 @@ def _alternating_shifts(inv_ints, rows, n) -> list:
 
 def _closed_forms_task(r, k, lam, ns):
     n_top = max(ns)
-    t_polys = mixed_type_polys(n_top, r, k, lam)
-    h_nums = frobenius_euler_numbers(n_top, r, lam)
+    t_polys = family_polys("mixed-T", n_top, r, k, lam)
+    h_nums = family_numbers("frobenius-euler", n_top, r, lam)
     s2 = stirling2_triangle(n_top)
     inv_weights = [Fraction(m + 1) ** (-k) for m in range(n_top + 1)]
     h_ints, h_den = _common_denominator(h_nums)
@@ -339,10 +328,10 @@ def _closed_forms_task(r, k, lam, ns):
 
 def _step_recurrence_task(r, k, lam, ns):
     n_top = max(ns)
-    t_rk = mixed_type_polys(n_top + 1, r, k, lam)
-    t_up = mixed_type_polys(n_top, r + 1, k, lam)
-    t_dn = mixed_type_polys(n_top + 1, r, k - 1, lam)
-    bern = bernoulli_numbers(n_top + 1)
+    t_rk = family_polys("mixed-T", n_top + 1, r, k, lam)
+    t_up = family_polys("mixed-T", n_top, r + 1, k, lam)
+    t_dn = family_polys("mixed-T", n_top + 1, r, k - 1, lam)
+    bern = family_numbers("bernoulli", n_top + 1, 1)
     coef = Fraction(r) * lam / (1 - lam)
     for n in ns:
         rhs = (X - r) * t_rk[n] - coef * t_up[n]
@@ -360,10 +349,10 @@ def _step_recurrence_task(r, k, lam, ns):
 
 def _derived_recurrence_task(r, k, lam, ns):
     n_top = max(ns)
-    t_rk = mixed_type_polys(n_top, r, k, lam)
-    t_up = mixed_type_polys(n_top - 1, r + 1, k, lam)
-    t_dn = mixed_type_polys(n_top, r, k - 1, lam)
-    bern = bernoulli_numbers(n_top)
+    t_rk = family_polys("mixed-T", n_top, r, k, lam)
+    t_up = family_polys("mixed-T", n_top - 1, r + 1, k, lam)
+    t_dn = family_polys("mixed-T", n_top, r, k - 1, lam)
+    bern = family_numbers("bernoulli", n_top, 1)
     for n in ns:
         lhs = (n + 1) * t_rk[n] + n * ((Fraction(r) - Fraction(1, 2)) - X) * t_rk[n - 1]
         for l in range(n - 1):
@@ -383,9 +372,9 @@ def _derived_recurrence_task(r, k, lam, ns):
 
 def _derivative_expansion_task(r, k, lam, ns):
     n_top = max(ns)
-    t_rk = mixed_type_polys(n_top, r, k, lam)
-    t_up = mixed_type_polys(n_top - 1, r + 1, k, lam)
-    h_shift = [h.shift(-1) for h in frobenius_euler_polys(n_top - 1, r, lam)]
+    t_rk = family_polys("mixed-T", n_top, r, k, lam)
+    t_up = family_polys("mixed-T", n_top - 1, r + 1, k, lam)
+    h_shift = [h.shift(-1) for h in family_polys("frobenius-euler", n_top - 1, r, lam)]
     s2 = stirling2_triangle(n_top - 1)
     fact_ints, fact_den = _common_denominator(
         [factorial(m + 1) * Fraction(m + 2) ** (-k) for m in range(n_top)]
@@ -414,9 +403,9 @@ def _derivative_expansion_task(r, k, lam, ns):
 
 def _alternating_sum_task(r, k, lam, ns):
     n_top = max(ns)
-    t_nums = mixed_type_numbers(n_top, r, k, lam)
-    pb_nums = poly_bernoulli_numbers(n_top, k - 1)
-    h_nums = frobenius_euler_numbers(n_top, r, lam)
+    t_nums = family_numbers("mixed-T", n_top, r, k, lam)
+    pb_nums = family_numbers("poly-bernoulli", n_top, k - 1)
+    h_nums = family_numbers("frobenius-euler", n_top, r, lam)
     order = n_top + 1
     functional = frobenius_euler_kernel(r, lam, order) * polylog_series(k, order)
     t_ints, t_den = _common_denominator(t_nums)
@@ -469,17 +458,17 @@ TARGETS = {
     "bernoulli": Target(
         ("s",),
         lambda s, mu, order: appell_pair(bernoulli_kernel(s, order)),
-        lambda s, mu, n: bernoulli_polys(n, s),
+        lambda s, mu, n: family_polys("bernoulli", n, s),
     ),
     "euler": Target(
         ("s",),
         lambda s, mu, order: appell_pair(euler_kernel(s, order)),
-        lambda s, mu, n: euler_polys(n, s),
+        lambda s, mu, n: family_polys("euler", n, s),
     ),
     "frobenius-euler": Target(
         ("s", "mu"),
         lambda s, mu, order: appell_pair(frobenius_euler_kernel(s, mu, order)),
-        lambda s, mu, n: frobenius_euler_polys(n, s, mu),
+        lambda s, mu, n: family_polys("frobenius-euler", n, s, mu),
     ),
     "falling": Target(
         (),
@@ -626,12 +615,12 @@ def _basis_task(r, k, lam, ns, grid):
 
 def _foundations_task(r, k, lam, ns):
     n_top = max(ns)
-    t_polys = mixed_type_polys(n_top, r, k, lam)
-    t_zero = mixed_type_polys(n_top, 0, k, lam)
-    pb_polys = poly_bernoulli_polys(n_top, k)
-    pb_nums = poly_bernoulli_numbers(n_top, k)
-    h_polys = frobenius_euler_polys(n_top, r, lam)
-    h_nums = frobenius_euler_numbers(n_top, r, lam)
+    t_polys = family_polys("mixed-T", n_top, r, k, lam)
+    t_zero = family_polys("mixed-T", n_top, 0, k, lam)
+    pb_polys = family_polys("poly-bernoulli", n_top, k)
+    pb_nums = family_numbers("poly-bernoulli", n_top, k)
+    h_polys = family_polys("frobenius-euler", n_top, r, lam)
+    h_nums = family_numbers("frobenius-euler", n_top, r, lam)
     # polys_from_kernel builds H_n by the binomial formula itself, so the
     # binomial expansion is checked against the e^{xt} series product
     h_series = sheffer_polynomials(
@@ -750,14 +739,6 @@ def _verifier(identity):
 
 
 VERIFIERS = {identity: _verifier(identity) for identity in SPECS}
-
-verify_closed_forms = VERIFIERS["thm1-2"]
-verify_step_recurrence = VERIFIERS["thm3"]
-verify_derived_recurrence = VERIFIERS["thm4"]
-verify_derivative_expansion = VERIFIERS["thm5"]
-verify_alternating_sum = VERIFIERS["thm6"]
-verify_basis_expansions = VERIFIERS["bases"]
-verify_foundations = VERIFIERS["foundations"]
 
 
 def verify_all(grid: SweepGrid = DEFAULT_GRID, collect_all=False, jobs=1):

@@ -33,8 +33,6 @@ __all__ = [
     "falling_factorial",
     "rising_factorial",
     "parse_rational",
-    "format_rational",
-    "to_json_value",
 ]
 
 
@@ -44,11 +42,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
-
-
-def format_rational(value: Scalar) -> str:
-    """Render a rational as "p/q", or "p" when the denominator is 1."""
-    return str(Fraction(value))
 
 
 def _common_denominator(values) -> tuple:
@@ -329,11 +322,3 @@ def rising_factorial(n: int) -> Polynomial:
     for i in range(n):
         result = result * Polynomial([i, 1])
     return result
-
-
-def to_json_value(value):
-    """JSON form of a ring element: "p/q" for rationals, a coefficient
-    list (lowest power first) for polynomials."""
-    if isinstance(value, Polynomial):
-        return [str(c) for c in value.coefficients]
-    return str(Fraction(value))

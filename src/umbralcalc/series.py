@@ -33,7 +33,7 @@ from math import factorial, gcd
 from operator import mul
 from typing import Iterable
 
-from .polynomials import _RATIONAL, _common_denominator, to_json_value
+from .polynomials import _RATIONAL, _common_denominator
 
 __all__ = ["TruncatedSeries", "exp_series"]
 
@@ -310,9 +310,6 @@ class TruncatedSeries:
         if self._order >= 6:
             shown += ", ..."
         return f"TruncatedSeries([{shown}], order={self._order})"
-
-    def to_jsonable(self) -> dict:
-        return {"order": self._order, "coeffs": [to_json_value(c) for c in self._coeffs]}
 
 
 def exp_series(scale, order: int) -> TruncatedSeries:

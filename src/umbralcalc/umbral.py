@@ -13,7 +13,7 @@ to integers once and builds each power by integer convolution, or by a
 plain shift when l(fbar) is the series t (Appell targets).  The solve
 route inverts a triangular basis once, `monomial_expansion`, so that
 expressing any polynomial in it, `solve_in_basis`, is one integer
-row-times-matrix product; `expand_in_basis` is the two steps together.
+row-times-matrix product.
 Only the scalar representation changes: the pairing route reads only
 the two Sheffer pairs and the solve route only the integer numerators of
 the polynomials and the basis.  Neither calls the other or any
@@ -47,7 +47,6 @@ __all__ = [
     "connection_constants",
     "monomial_expansion",
     "solve_in_basis",
-    "expand_in_basis",
 ]
 
 
@@ -302,13 +301,3 @@ def solve_in_basis(polys, expansion) -> list:
         ]
         rows.append(row or [Fraction(0)])
     return rows
-
-
-def expand_in_basis(polys, basis) -> list:
-    """Exact triangular solve: coefficients C[n][m] with
-    polys[n] = sum_m C[n][m] basis[m].
-
-    Requires deg basis[m] = m and deg polys[n] < len(basis).  This is the
-    independent linear-algebra oracle for `connection_constants`.
-    """
-    return solve_in_basis(polys, monomial_expansion(basis))

@@ -13,26 +13,14 @@ from pathlib import Path
 
 from umbralcalc.families import (
     bernoulli_kernel,
-    bernoulli_polys,
-    euler_polys,
     exp_minus_one,
-    frobenius_euler_polys,
+    family_polys,
     mixed_kernel,
-    mixed_type_polys,
     one_minus_exp_neg,
-    poly_bernoulli_polys,
     polylog_series,
     stirling2_triangle,
 )
-from umbralcalc.identities import (
-    DEFAULT_GRID,
-    verify_alternating_sum,
-    verify_basis_expansions,
-    verify_closed_forms,
-    verify_derivative_expansion,
-    verify_derived_recurrence,
-    verify_step_recurrence,
-)
+from umbralcalc.identities import DEFAULT_GRID, VERIFIERS
 from umbralcalc.polynomials import Polynomial, X, falling_factorial, rising_factorial
 from umbralcalc.series import TruncatedSeries, exp_series
 from umbralcalc.umbral import (
@@ -113,7 +101,7 @@ def test_criterion_1_pairing_foundations():
     for r in grid.r_values:
         for k in grid.k_values:
             for lam in grid.lambda_values:
-                family = mixed_type_polys(grid.n_max, r, k, lam)
+                family = family_polys("mixed-T", grid.n_max, r, k, lam)
                 for n in range(1, grid.n_max + 1):
                     ok = ok and family[n].derivative() == n * family[n - 1]
     _conclude("1 (pairing and operator foundations)", ok, started, budget=5)
@@ -137,7 +125,7 @@ def test_criterion_2_sheffer_machinery():
 
 def test_criterion_3_closed_forms():
     started = time.perf_counter()
-    report = verify_closed_forms(DEFAULT_GRID)
+    report = VERIFIERS["thm1-2"](DEFAULT_GRID)
     _conclude("3 (closed forms)", report.passed, started, budget=60)
 
 
@@ -145,21 +133,21 @@ def test_criterion_4_recurrences():
     from dataclasses import replace
 
     started = time.perf_counter()
-    ok = verify_step_recurrence(DEFAULT_GRID).passed
-    ok = ok and verify_derived_recurrence(replace(DEFAULT_GRID, n_min=2)).passed
-    ok = ok and verify_derivative_expansion(replace(DEFAULT_GRID, n_min=1)).passed
+    ok = VERIFIERS["thm3"](DEFAULT_GRID).passed
+    ok = ok and VERIFIERS["thm4"](replace(DEFAULT_GRID, n_min=2)).passed
+    ok = ok and VERIFIERS["thm5"](replace(DEFAULT_GRID, n_min=1)).passed
     _conclude("4 (recurrences)", ok, started, budget=60)
 
 
 def test_criterion_5_dual_identity():
     started = time.perf_counter()
-    report = verify_alternating_sum(DEFAULT_GRID)
+    report = VERIFIERS["thm6"](DEFAULT_GRID)
     _conclude("5 (dual identity, three-way)", report.passed, started, budget=30)
 
 
 def test_criterion_6_basis_expansions():
     started = time.perf_counter()
-    report = verify_basis_expansions(DEFAULT_GRID)
+    report = VERIFIERS["bases"](DEFAULT_GRID)
     _conclude("6 (basis expansions, three-way)", report.passed, started, budget=120)
 
 
@@ -167,13 +155,14 @@ def test_criterion_7_degenerations():
     started = time.perf_counter()
     ok = True
     for k in DEFAULT_GRID.k_values:
-        family = poly_bernoulli_polys(10, k)
+        family = family_polys("poly-bernoulli", 10, k)
         for lam in (Fraction(2), Fraction(-3, 5)):
-            ok = ok and mixed_type_polys(10, 0, k, lam) == family
-    classical = [b.shift(1) for b in bernoulli_polys(10, 1)]
-    ok = ok and poly_bernoulli_polys(10, 1) == classical
+            ok = ok and family_polys("mixed-T", 10, 0, k, lam) == family
+    classical = [b.shift(1) for b in family_polys("bernoulli", 10, 1)]
+    ok = ok and family_polys("poly-bernoulli", 10, 1) == classical
     for s in range(9):
-        ok = ok and frobenius_euler_polys(10, s, Fraction(-1)) == euler_polys(10, s)
+        frobenius = family_polys("frobenius-euler", 10, s, Fraction(-1))
+        ok = ok and frobenius == family_polys("euler", 10, s)
     li1 = polylog_series(1, 12)
     ok = ok and li1 == TruncatedSeries.identity(12)
     _conclude("7 (degenerations)", ok, started, budget=5)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from umbralcalc.cli import latex_polynomial, latex_rational, main
+from umbralcalc.cli import POLY_FAMILIES, latex_polynomial, latex_rational, main
+from umbralcalc.families import KERNELS
 from umbralcalc.polynomials import Polynomial
 from fractions import Fraction
 
@@ -93,6 +95,16 @@ def test_verify_rejects_degrees_below_statement():
     result = run_cli("verify", "thm4", "--n-min", "0", "--n-max", "4")
     assert result.returncode == 2
     assert "n >= 2" in result.stderr
+
+
+@pytest.mark.parametrize("identity, n_max, floor", [("thm4", "1", 2), ("all", "-1", 0)])
+def test_verify_below_the_floor_names_the_floor_and_n_max(identity, n_max, floor, capsys):
+    # with no --n-min the identity's floor is the lowest degree, so a
+    # smaller --n-max is what the message must point at
+    assert main(["verify", identity, "--n-max", n_max]) == 2
+    err = capsys.readouterr().err
+    assert f"n >= {floor}" in err and f"--n-max must be at least {floor}" in err
+    assert "n_min" not in err
 
 
 def test_verify_all_small_grid_streams_reports():
@@ -200,6 +212,15 @@ def test_verify_stdout_is_byte_deterministic(capsys):
     assert outputs[0] == outputs[1]
     report = json.loads(outputs[0])
     assert report["status"] == "pass" and "elapsed_ms" not in report
+
+
+def test_poly_families_follow_the_kernel_table():
+    # table and eval pass a family's needs to its kernel builder in order,
+    # ahead of the truncation order
+    assert set(POLY_FAMILIES) == set(KERNELS)
+    for name, family in POLY_FAMILIES.items():
+        params = list(inspect.signature(KERNELS[name]).parameters)
+        assert len(family.needs) == params.index("order")
 
 
 FAMILY_PARAMS = {

@@ -49,20 +49,21 @@ def _case_id(identity, collect_all, jobs):
 
 def _inject_defects(patch):
     """Wrap three library functions, and make the process pool fork, with
-    ``patch(owner, name, value)``."""
-    polys = identities.mixed_type_polys
-    numbers = identities.mixed_type_numbers
+    ``patch(owner, name, value)``.  The family expansions are planted
+    with defects in the mixed family only."""
+    polys = identities.family_polys
+    numbers = identities.family_numbers
     constants = identities._summation_constants
 
-    def bad_polys(n_max, r, k, lam):
-        out = polys(n_max, r, k, lam)
-        if r == 2 and n_max >= 3:
+    def bad_polys(family, n_max, *params):
+        out = polys(family, n_max, *params)
+        if family == "mixed-T" and params[0] == 2 and n_max >= 3:
             out[3] = out[3] + Fraction(1, 7)
         return out
 
-    def bad_numbers(n_max, r, k, lam):
-        out = numbers(n_max, r, k, lam)
-        if k == 1 and n_max >= 2:
+    def bad_numbers(family, n_max, *params):
+        out = numbers(family, n_max, *params)
+        if family == "mixed-T" and params[1] == 1 and n_max >= 2:
             out[2] = out[2] + 1
         return out
 
@@ -72,8 +73,8 @@ def _inject_defects(patch):
             row[1] = row[1] + Fraction(1, 3)
         return row
 
-    patch(identities, "mixed_type_polys", bad_polys)
-    patch(identities, "mixed_type_numbers", bad_numbers)
+    patch(identities, "family_polys", bad_polys)
+    patch(identities, "family_numbers", bad_numbers)
     patch(identities, "_summation_constants", bad_constants)
     # the workers must inherit the patched module, whatever the default
     patch(

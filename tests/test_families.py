@@ -6,24 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from umbralcalc.families import (
     bernoulli_kernel,
-    bernoulli_numbers,
-    bernoulli_poly,
-    bernoulli_polys,
     euler_kernel,
-    euler_poly,
     exp_minus_one,
+    family_numbers,
+    family_polys,
     frobenius_euler_kernel,
-    euler_polys,
-    frobenius_euler_numbers,
-    frobenius_euler_poly,
-    frobenius_euler_polys,
     mixed_kernel,
-    mixed_type_numbers,
-    mixed_type_poly,
-    mixed_type_polys,
     one_minus_exp_neg,
     poly_bernoulli_kernel,
-    poly_bernoulli_polys,
     polylog_series,
     polys_from_kernel,
     stirling2,
@@ -76,43 +66,43 @@ def test_stirling_examples():
 
 
 def test_bernoulli_polynomials():
-    assert bernoulli_poly(0, 3) == 1
-    assert bernoulli_poly(1, 1) == Polynomial([Fraction(-1, 2), 1])
-    assert bernoulli_poly(2, 1) == Polynomial([Fraction(1, 6), -1, 1])
+    assert family_polys("bernoulli", 0, 3)[0] == 1
+    assert family_polys("bernoulli", 1, 1)[1] == Polynomial([Fraction(-1, 2), 1])
+    assert family_polys("bernoulli", 2, 1)[2] == Polynomial([Fraction(1, 6), -1, 1])
 
 
 def test_bernoulli_numbers_satisfy_classical_recurrence():
     # sum_{j<n} C(n, j) B_j = 0 for n >= 2
-    numbers = bernoulli_numbers(12)
+    numbers = family_numbers("bernoulli", 12, 1)
     assert numbers[0] == 1 and numbers[1] == Fraction(-1, 2)
     for n in range(2, 13):
         assert sum(comb(n, j) * numbers[j] for j in range(n)) == 0
 
 
 def test_euler_polynomials():
-    assert euler_poly(0, 2) == 1
-    assert euler_poly(1, 1) == Polynomial([Fraction(-1, 2), 1])
-    assert euler_poly(2, 1) == Polynomial([0, -1, 1])
+    assert family_polys("euler", 0, 2)[0] == 1
+    assert family_polys("euler", 1, 1)[1] == Polynomial([Fraction(-1, 2), 1])
+    assert family_polys("euler", 2, 1)[2] == Polynomial([0, -1, 1])
 
 
 def test_euler_equals_frobenius_euler_at_minus_one():
     for s in range(0, 9):
-        eulers = euler_polys(8, s)
-        frobenius = frobenius_euler_polys(8, s, Fraction(-1))
+        eulers = family_polys("euler", 8, s)
+        frobenius = family_polys("frobenius-euler", 8, s, Fraction(-1))
         assert eulers == frobenius
 
 
 def test_frobenius_euler_examples():
-    assert frobenius_euler_poly(0, 1, 2) == 1
-    assert frobenius_euler_poly(1, 1, 2) == X + 1
+    assert family_polys("frobenius-euler", 0, 1, 2)[0] == 1
+    assert family_polys("frobenius-euler", 1, 1, 2)[1] == X + 1
     with pytest.raises(ValueError):
-        frobenius_euler_poly(1, 1, 1)
+        family_polys("frobenius-euler", 1, 1, 1)
 
 
 def test_frobenius_euler_binomial_expansion():
     r, lam = 2, Fraction(-3, 5)
-    numbers = frobenius_euler_numbers(10, r, lam)
-    for n, poly in enumerate(frobenius_euler_polys(10, r, lam)):
+    numbers = family_numbers("frobenius-euler", 10, r, lam)
+    for n, poly in enumerate(family_polys("frobenius-euler", 10, r, lam)):
         assert poly == Polynomial([comb(n, l) * numbers[n - l] for l in range(n + 1)])
 
 
@@ -133,8 +123,8 @@ def test_polylog_special_cases():
 
 
 def test_poly_bernoulli_reduces_to_shifted_bernoulli():
-    classical = bernoulli_polys(10, 1)
-    for n, poly in enumerate(poly_bernoulli_polys(10, 1)):
+    classical = family_polys("bernoulli", 10, 1)
+    for n, poly in enumerate(family_polys("poly-bernoulli", 10, 1)):
         assert poly == classical[n].shift(1)
 
 
@@ -142,7 +132,7 @@ def test_poly_bernoulli_closed_form():
     # partition closed form, checked for positive and negative indices
     triangle = stirling2_triangle(10)
     for k in range(-2, 4):
-        family = poly_bernoulli_polys(10, k)
+        family = family_polys("poly-bernoulli", 10, k)
         for n in range(11):
             coeffs = []
             for j in range(n + 1):
@@ -161,26 +151,26 @@ def test_poly_bernoulli_closed_form():
 
 
 def test_mixed_family_basics():
-    assert mixed_type_poly(0, 3, -2, Fraction(7)) == 1
+    assert family_polys("mixed-T", 0, 3, -2, Fraction(7))[0] == 1
     for r, k, lam in [(1, 2, Fraction(2)), (-2, -1, Fraction(1, 2)), (3, 0, Fraction(-1))]:
-        t1 = mixed_type_poly(1, r, k, lam)
+        t1 = family_polys("mixed-T", 1, r, k, lam)[1]
         assert t1 == X + (-Fraction(r) / (1 - lam) + Fraction(2) ** (-k))
     with pytest.raises(ValueError):
-        mixed_type_poly(1, 1, 1, 1)
+        family_polys("mixed-T", 1, 1, 1, 1)
 
 
 def test_mixed_family_is_monic():
     for r, k, lam in [(2, 2, Fraction(1, 2)), (-1, -3, Fraction(7))]:
-        for n, poly in enumerate(mixed_type_polys(8, r, k, lam)):
+        for n, poly in enumerate(family_polys("mixed-T", 8, r, k, lam)):
             assert poly.degree == n
             assert poly.coefficients[-1] == 1
 
 
 def test_mixed_reduces_to_poly_bernoulli_at_order_zero():
     for k in (-2, 1, 3):
-        family = poly_bernoulli_polys(10, k)
-        assert mixed_type_polys(10, 0, k, Fraction(2)) == family
-        assert mixed_type_polys(10, 0, k, Fraction(-3, 5)) == family
+        family = family_polys("poly-bernoulli", 10, k)
+        assert family_polys("mixed-T", 10, 0, k, Fraction(2)) == family
+        assert family_polys("mixed-T", 10, 0, k, Fraction(-3, 5)) == family
 
 
 def test_mixed_family_equals_operator_action_on_monomials():
@@ -189,15 +179,15 @@ def test_mixed_family_equals_operator_action_on_monomials():
 
     r, k, lam = 2, -1, Fraction(1, 2)
     operator = mixed_kernel(r, k, lam, 9)
-    family = mixed_type_polys(7, r, k, lam)
+    family = family_polys("mixed-T", 7, r, k, lam)
     for n in range(8):
         assert apply_operator(operator, Polynomial.monomial(n)) == family[n]
 
 
 def test_mixed_numbers_are_evaluations_at_zero():
     r, k, lam = 2, -2, Fraction(-3, 5)
-    numbers = mixed_type_numbers(8, r, k, lam)
-    for n, poly in enumerate(mixed_type_polys(8, r, k, lam)):
+    numbers = family_numbers("mixed-T", 8, r, k, lam)
+    for n, poly in enumerate(family_polys("mixed-T", 8, r, k, lam)):
         assert poly(0) == numbers[n]
 
 
@@ -208,7 +198,7 @@ def test_mixed_numbers_are_evaluations_at_zero():
     st.sampled_from([Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(-3, 5)]),
 )
 def test_mixed_family_derivative_rule(r, k, lam):
-    family = mixed_type_polys(6, r, k, lam)
+    family = family_polys("mixed-T", 6, r, k, lam)
     for n in range(1, 7):
         assert family[n].derivative() == n * family[n - 1]
 
@@ -219,13 +209,13 @@ def test_families_truncate_exactly_at_the_degree(n):
     # through t^n, so the library's order-n expansion is exact
     lam = Fraction(-3, 5)
     cases = [
-        (bernoulli_kernel(2, n + 5), bernoulli_polys(n, 2)),
-        (euler_kernel(3, n + 5), euler_polys(n, 3)),
-        (frobenius_euler_kernel(-2, lam, n + 5), frobenius_euler_polys(n, -2, lam)),
-        (poly_bernoulli_kernel(-2, n + 5), poly_bernoulli_polys(n, -2)),
-        (poly_bernoulli_kernel(0, n + 5), poly_bernoulli_polys(n, 0)),
-        (mixed_kernel(-1, -2, lam, n + 5), mixed_type_polys(n, -1, -2, lam)),
-        (mixed_kernel(2, 3, Fraction(2), n + 5), mixed_type_polys(n, 2, 3, Fraction(2))),
+        (bernoulli_kernel(2, n + 5), family_polys("bernoulli", n, 2)),
+        (euler_kernel(3, n + 5), family_polys("euler", n, 3)),
+        (frobenius_euler_kernel(-2, lam, n + 5), family_polys("frobenius-euler", n, -2, lam)),
+        (poly_bernoulli_kernel(-2, n + 5), family_polys("poly-bernoulli", n, -2)),
+        (poly_bernoulli_kernel(0, n + 5), family_polys("poly-bernoulli", n, 0)),
+        (mixed_kernel(-1, -2, lam, n + 5), family_polys("mixed-T", n, -1, -2, lam)),
+        (mixed_kernel(2, 3, Fraction(2), n + 5), family_polys("mixed-T", n, 2, 3, Fraction(2))),
     ]
     for kernel, family in cases:
         assert polys_from_kernel(kernel, n) == family
@@ -395,8 +385,8 @@ def test_order_zero_mixed_kernel_is_a_separate_entry():
 
 
 def test_family_lists_are_fresh_objects():
-    first = mixed_type_polys(4, 2, 1, Fraction(2))
-    second = mixed_type_polys(4, 2, 1, Fraction(2))
+    first = family_polys("mixed-T", 4, 2, 1, Fraction(2))
+    second = family_polys("mixed-T", 4, 2, 1, Fraction(2))
     assert first == second and first is not second
 
 

@@ -11,10 +11,8 @@ import pytest
 from umbralcalc import identities
 from umbralcalc.families import (
     bernoulli_kernel,
-    bernoulli_polys,
-    frobenius_euler_numbers,
-    mixed_type_numbers,
-    mixed_type_polys,
+    family_numbers,
+    family_polys,
     stirling2_triangle,
 )
 from umbralcalc.polynomials import Polynomial, _common_denominator
@@ -28,11 +26,6 @@ from umbralcalc.identities import (
     _sweep,
     appell_pair,
     verify_all,
-    verify_basis_expansions,
-    verify_closed_forms,
-    verify_derivative_expansion,
-    verify_derived_recurrence,
-    verify_step_recurrence,
 )
 
 SMALL = SweepGrid(
@@ -62,13 +55,13 @@ def test_each_verifier_passes_on_small_grid(identity):
 
 
 def test_reports_are_deterministic():
-    first = verify_step_recurrence(_for("thm3"))
-    second = verify_step_recurrence(_for("thm3"))
+    first = VERIFIERS["thm3"](_for("thm3"))
+    second = VERIFIERS["thm3"](_for("thm3"))
     assert first.to_jsonable() == second.to_jsonable()
 
 
 def test_report_json_shape():
-    report = verify_closed_forms(replace(SMALL, n_max=3))
+    report = VERIFIERS["thm1-2"](replace(SMALL, n_max=3))
     payload = json.loads(json.dumps(report.to_jsonable()))
     assert payload["id"] == "thm1-2"
     assert payload["status"] == "pass"
@@ -92,7 +85,7 @@ def _payloads():
     )
     reports = {report.identity: report for report in verify_all(grid)}
     pair = appell_pair(bernoulli_kernel(1, 9))
-    polys = bernoulli_polys(8, 1)
+    polys = family_polys("bernoulli", 8, 1)
     broken = list(polys)
     broken[3] = broken[3] + 1
     return [
@@ -161,16 +154,16 @@ def test_full_verification_script_rejects_jobs_below_one(
 
 def test_degree_floors_are_enforced():
     with pytest.raises(ValueError):
-        verify_derived_recurrence(SMALL)  # n_min = 0 < 2
+        VERIFIERS["thm4"](SMALL)  # n_min = 0 < 2
     with pytest.raises(ValueError):
-        verify_derivative_expansion(SMALL)  # n_min = 0 < 1
+        VERIFIERS["thm5"](SMALL)  # n_min = 0 < 1
 
 
 def test_single_degree_grid_passes_trivially():
     grid = replace(
         SMALL, n_max=0, r_values=(1,), k_values=(2,), lambda_values=(Fraction(2),)
     )
-    report = verify_step_recurrence(grid)
+    report = VERIFIERS["thm3"](grid)
     assert report.passed and report.checked == 1
 
 
@@ -207,10 +200,23 @@ def test_grid_validation():
         SweepGrid(s_values=(-1,))
 
 
+def test_grid_axes_given_as_lists_become_tuples():
+    # the bases data is memoised on the grid, so a grid built from lists
+    # must hash, and equal the grid built from tuples
+    axes = {"r_values": [-1, 2], "k_values": [1], "s_values": [0, 1],
+            "lambda_values": [2], "mu_values": [3]}
+    from_lists = SweepGrid(n_max=3, **axes)
+    from_tuples = SweepGrid(n_max=3, **{name: tuple(v) for name, v in axes.items()})
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)
+    report = VERIFIERS["bases"](from_lists)
+    assert report.passed and report == VERIFIERS["bases"](from_tuples)
+
+
 def test_parallel_sweep_matches_sequential():
     grid = _for("bases")
-    sequential = verify_basis_expansions(grid, jobs=1)
-    parallel = verify_basis_expansions(grid, jobs=3)
+    sequential = VERIFIERS["bases"](grid, jobs=1)
+    parallel = VERIFIERS["bases"](grid, jobs=3)
     assert sequential.passed and parallel.passed
     assert sequential.checked == parallel.checked
 
@@ -405,10 +411,14 @@ def test_closed_verify_all_leaves_no_process_running(forked_pool):
 
 
 def test_raising_worker_leaves_no_process_running(forked_pool, monkeypatch):
-    def broken(*args):
-        raise ArithmeticError("planted")
+    polys = identities.family_polys
 
-    monkeypatch.setattr(identities, "mixed_type_polys", broken)
+    def broken(family, *args):
+        if family == "mixed-T":
+            raise ArithmeticError("planted")
+        return polys(family, *args)
+
+    monkeypatch.setattr(identities, "family_polys", broken)
     with pytest.raises(ArithmeticError, match="planted"):
         list(verify_all(POOL_GRID, jobs=2))
     assert multiprocessing.active_children() == []
@@ -428,9 +438,13 @@ def test_default_grid_matches_documented_sweep():
 
 def test_benchmark_verifier_list_matches_the_table():
     # perfbench/workloads.py counts the checks each verifier must report
-    # from its own copy of the ids and floors; it must follow the table
+    # from its own copy of the ids and floors, and draws its requests from
+    # its own copy of the family and target names; they must follow the
+    # library's tables
     import importlib.util
     from pathlib import Path
+
+    from umbralcalc import cli
 
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
@@ -440,6 +454,8 @@ def test_benchmark_verifier_list_matches_the_table():
     assert workloads.MINIMUM_DEGREE == {
         identity: spec.floor for identity, spec in SPECS.items() if spec.floor > 0
     }
+    assert workloads.FAMILIES == cli.FAMILIES
+    assert workloads.TARGETS == tuple(TARGETS)
 
 
 # --- the fraction-free summation side against a Fraction reference ----------
@@ -506,8 +522,8 @@ def test_integer_summation_matches_fraction_reference(r, k, lam):
     grid = SweepGrid(n_max=n_top, s_values=REFERENCE_S, mu_values=REFERENCE_MU)
     shared = identities._basis_instances(grid, n_top)
     s2 = shared["s2"]
-    t_polys = mixed_type_polys(n_top, r, k, lam)
-    t_nums = mixed_type_numbers(n_top, r, k, lam)
+    t_polys = family_polys("mixed-T", n_top, r, k, lam)
+    t_nums = family_numbers("mixed-T", n_top, r, k, lam)
     values = [[t(j) for j in range(s_max + 1)] for t in t_polys]
     int_nums = _common_denominator(t_nums)
     int_values = identities._integer_rows(values)
@@ -590,7 +606,7 @@ def test_shifted_power_table_holds_integer_coefficients():
 def test_integer_alternating_shifts_match_polynomial_reference(r, k, lam):
     n_top = 12
     ns = tuple(range(n_top + 1))
-    h_nums = frobenius_euler_numbers(n_top, r, lam)
+    h_nums = family_numbers("frobenius-euler", n_top, r, lam)
     inv_weights = [Fraction(m + 1) ** (-k) for m in range(n_top + 1)]
     powers = polynomial_shifted_power_table(n_top)
     sides = {
@@ -630,11 +646,11 @@ def test_binomial_expansion_check_compares_two_computations(monkeypatch, jobs):
         ),
     )
     grid = replace(SMALL, n_max=4)
-    report = identities.verify_foundations(grid, jobs=jobs)
+    report = VERIFIERS["foundations"](grid, jobs=jobs)
     assert report.status == "fail"
     counterexample = report.counterexample
     assert counterexample["check"] == "binomial expansion"
     assert counterexample["n"] == 2
     assert counterexample["lhs"] != counterexample["rhs"]
-    collected = identities.verify_foundations(grid, collect_all=True, jobs=jobs)
+    collected = VERIFIERS["foundations"](grid, collect_all=True, jobs=jobs)
     assert {c["check"] for c in collected.counterexamples} == {"binomial expansion"}

@@ -14,12 +14,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from umbralcalc.families import (
-    bernoulli_polys,
-    euler_polys,
-    poly_bernoulli_numbers,
-    stirling2_triangle,
-)
+from umbralcalc.families import family_numbers, family_polys, stirling2_triangle
 from umbralcalc.polynomials import Polynomial
 from umbralcalc.series import TruncatedSeries, exp_series
 
@@ -101,7 +96,7 @@ def _sympy_coefficients(expr, x):
 def test_bernoulli_and_euler_polynomials_match_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
-    bern, eul = bernoulli_polys(10, 1), euler_polys(10, 1)
+    bern, eul = family_polys("bernoulli", 10, 1), family_polys("euler", 10, 1)
     for n in range(11):
         assert bern[n].coefficients == _sympy_coefficients(sympy.bernoulli(n, x), x)
         assert eul[n].coefficients == _sympy_coefficients(sympy.euler(n, x), x)
@@ -127,7 +122,7 @@ def explicit_stirling2(n, m):
 
 def test_poly_bernoulli_duality():
     # B_n^(-k) = B_k^(-n)
-    table = {k: poly_bernoulli_numbers(8, -k) for k in range(9)}
+    table = {k: family_numbers("poly-bernoulli", 8, -k) for k in range(9)}
     for n in range(9):
         for k in range(9):
             assert table[k][n] == table[n][k]
@@ -136,7 +131,7 @@ def test_poly_bernoulli_duality():
 def test_poly_bernoulli_closed_form():
     # B_n^(-k) = sum_j (j!)^2 S2(n+1, j+1) S2(k+1, j+1)
     for k in range(9):
-        numbers = poly_bernoulli_numbers(8, -k)
+        numbers = family_numbers("poly-bernoulli", 8, -k)
         for n in range(9):
             expected = sum(
                 factorial(j) ** 2 * explicit_stirling2(n + 1, j + 1) * explicit_stirling2(k + 1, j + 1)

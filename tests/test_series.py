@@ -240,11 +240,6 @@ def test_exp_series_cases():
     assert exp_series(X, 4).coefficient(2) == Polynomial([0, 0, Fraction(1, 2)])
 
 
-def test_serialization():
-    s = TruncatedSeries([1, Fraction(-1, 2)], 2)
-    assert s.to_jsonable() == {"order": 2, "coeffs": ["1", "-1/2", "0"]}
-
-
 def test_polynomial_coefficients_mix_with_rational_series():
     lifted = exp_series(X, 5) * exp_minus_one(5)
     assert lifted.coefficient(0) == 0

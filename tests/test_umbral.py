@@ -11,8 +11,8 @@ from umbralcalc.families import (
     exp_minus_one,
     frobenius_euler_kernel,
     mixed_kernel,
-    mixed_type_numbers,
-    mixed_type_polys,
+    family_numbers,
+    family_polys,
     one_minus_exp_neg,
     stirling2_triangle,
 )
@@ -24,7 +24,7 @@ from umbralcalc.umbral import (
     appell_next,
     apply_operator,
     connection_constants,
-    expand_in_basis,
+    monomial_expansion,
     pairing,
     sheffer_orthogonality_check,
     sheffer_polynomials,
@@ -142,7 +142,7 @@ def test_appell_recurrence_reproduces_mixed_family():
     pair = ShefferPair(
         mixed_kernel(r, k, lam, order).invert(), TruncatedSeries.identity(order)
     )
-    family = mixed_type_polys(6, r, k, lam)
+    family = family_polys("mixed-T", 6, r, k, lam)
     for n in range(6):
         assert appell_next(pair, family[n]) == family[n + 1]
 
@@ -178,7 +178,7 @@ def test_connection_constants_monomials_to_falling_is_stirling():
     triangle = stirling2_triangle(8)
     assert rows == [[Fraction(v) for v in triangle[n]] for n in range(9)]
     basis = [falling_factorial(m) for m in range(9)]
-    assert expand_in_basis([X**n for n in range(9)], basis) == rows
+    assert solve_in_basis([X**n for n in range(9)], monomial_expansion(basis)) == rows
     assert basis_solve_oracle([X**n for n in range(9)], basis) == rows
 
 
@@ -190,7 +190,7 @@ def test_connection_constants_mixed_to_falling_matches_closed_form():
     )
     target = ShefferPair(TruncatedSeries.constant(1, order), exp_minus_one(order))
     rows = connection_constants(source, target, n)
-    nums = mixed_type_numbers(n, r, k, lam)
+    nums = family_numbers("mixed-T", n, r, k, lam)
     triangle = stirling2_triangle(n)
     closed = [
         sum(
@@ -200,19 +200,20 @@ def test_connection_constants_mixed_to_falling_matches_closed_form():
         for m in range(n + 1)
     ]
     assert rows[n] == closed
-    solved = expand_in_basis(
-        mixed_type_polys(n, r, k, lam), [falling_factorial(m) for m in range(n + 1)]
+    solved = solve_in_basis(
+        family_polys("mixed-T", n, r, k, lam),
+        monomial_expansion([falling_factorial(m) for m in range(n + 1)]),
     )
     assert solved == rows
 
 
 def test_expand_in_basis_validates():
     with pytest.raises(ValueError):
-        expand_in_basis([X], [X])  # basis element 0 must be constant
+        monomial_expansion([X])  # basis element 0 must be constant
     with pytest.raises(ValueError, match="not expressible"):
-        expand_in_basis([X**3], [Polynomial([1]), X])
+        solve_in_basis([X**3], monomial_expansion([Polynomial([1]), X]))
     with pytest.raises(ValueError, match="not expressible"):
-        expand_in_basis([Polynomial([1])], [])
+        solve_in_basis([Polynomial([1])], monomial_expansion([]))
 
 
 FAILURES = (
@@ -301,7 +302,7 @@ def fraction_connection_constants(source, target, n_max):
 
 
 def fraction_expand_in_basis(polys_to_expand, basis):
-    """`expand_in_basis` as a `Polynomial`-subtraction loop with one
+    """The triangular solve as a `Polynomial`-subtraction loop with one
     `Fraction` division per step, as it was before the integer solve."""
     rows = []
     for p in polys_to_expand:
@@ -332,7 +333,7 @@ def test_integer_sides_match_fraction_oracles_on_every_instance(r, k, lam):
     for n_max in range(ORACLE_GRID.n_max + 1):
         shared = identities._basis_instances(ORACLE_GRID, n_max)
         source = identities.appell_pair(mixed_kernel(r, k, lam, shared["order"]))
-        t_polys = mixed_type_polys(n_max, r, k, lam)
+        t_polys = family_polys("mixed-T", n_max, r, k, lam)
         assert len(shared["expansions"]) == len(shared["instances"]) == 32
         for instance, expansion in zip(shared["instances"], shared["expansions"]):
             _, _, _, basis, _, target = instance
@@ -340,7 +341,7 @@ def test_integer_sides_match_fraction_oracles_on_every_instance(r, k, lam):
             assert pairing_rows == fraction_connection_constants(source, target, n_max)
             solve_rows = solve_in_basis(t_polys, expansion)
             assert solve_rows == fraction_expand_in_basis(t_polys, basis)
-            assert expand_in_basis(t_polys, basis) == solve_rows
+            assert solve_in_basis(t_polys, monomial_expansion(basis)) == solve_rows
             assert all_fractions(pairing_rows) and all_fractions(solve_rows)
 
 
@@ -381,7 +382,7 @@ triangular_bases = st.integers(0, 5).flatmap(
 @given(triangular_bases, st.lists(polys, max_size=4))
 def test_integer_solve_matches_fraction_oracle_on_general_bases(basis, to_expand):
     to_expand = [p for p in to_expand if p.degree < len(basis)]
-    rows = expand_in_basis(to_expand, basis)
+    rows = solve_in_basis(to_expand, monomial_expansion(basis))
     assert rows == fraction_expand_in_basis(to_expand, basis)
     assert all_fractions(rows)
 
@@ -391,7 +392,7 @@ def test_bases_tasks_leave_the_shared_data_out(monkeypatch):
     recorded = []
     monkeypatch.setattr(identities, "_sweep", lambda *args: recorded.append(args))
     grid = identities.DEFAULT_GRID
-    identities.verify_basis_expansions(grid, jobs=2)
+    identities.VERIFIERS["bases"](grid, jobs=2)
     ((_, _, tasks, worker, _, _),) = recorded
     assert len(tasks) == 210
     assert max(len(pickle.dumps((worker, task))) for task in tasks) < 1024
