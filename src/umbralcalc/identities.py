@@ -12,16 +12,21 @@ thm5's weights, thm6's alternating sums and foundations' alternating-shift
 and partition-sum actions) run fraction-free: their rational inputs are
 brought once per task to integer numerators over one common denominator,
 each output value is an integer sum divided once, and a polynomial output
-is built from its integer coefficients directly.  Only the scalar representation is shared with the
-`Polynomial` core; each side keeps its own formula and never calls the
-kernel expansion, pairing or triangular solve of the side it is compared
-with, so a comparison still checks two computations.
+is built from its integer coefficients directly.  A row of connection
+constants never becomes `Fraction` values: all three sides of ``bases``
+give it as a canonical ``(numerators, denominator)`` pair
+(`polynomials._canonical_row`), so rows compare as pairs and only a
+counterexample's text renders the fractions.  Only the scalar and row
+representations are shared with the `Polynomial` core; each side keeps
+its own formula and never calls the kernel expansion, pairing or
+triangular solve of the side it is compared with, so a comparison still
+checks two computations.
 
 A verifier's task is a generator run once per (r, k, lambda) grid point.
 It computes both sides of each comparison with its own code and yields
 them, one comparison at a time, as ``(n, check, lhs, rhs, extra)``:
 the degree, the name of the check, the two sides (polynomials, numbers or
-lists of connection constants) and a dict of further parameters to report,
+rows of connection constants) and a dict of further parameters to report,
 such as the target basis.  The task neither compares nor counts.  One
 runner, ``_run_checks``, counts every comparison, tests ``lhs != rhs``,
 records the counterexamples and stops pulling from the task at the first
@@ -80,6 +85,7 @@ from .families import (
 from .polynomials import (
     Polynomial,
     X,
+    _canonical_row,
     _common_denominator,
     _make,
     falling_factorial,
@@ -90,11 +96,11 @@ from .umbral import (
     ShefferPair,
     VerificationReport,
     apply_operator,
-    connection_constants,
+    connection_rows,
     monomial_expansion,
     pairing,
     sheffer_polynomials,
-    solve_in_basis,
+    solve_rows,
 )
 
 __all__ = [
@@ -143,6 +149,10 @@ class SweepGrid:
         for name in ("r_values", "k_values", "s_values", "lambda_values", "mu_values"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
+        for name in ("r_values", "k_values", "s_values"):
+            for v in getattr(self, name):
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise ValueError(f"{name} must hold integers, not {v!r}")
         if any(s < 0 for s in self.s_values):
             raise ValueError("s values must be nonnegative")
         # tuples, so that a grid built from lists hashes like one from tuples
@@ -179,8 +189,10 @@ def _axes(grid: SweepGrid, with_s_mu=False) -> dict:
 
 
 def _side_text(side) -> str:
-    if isinstance(side, list):
-        return "[" + ", ".join(str(c) for c in side) + "]"
+    if isinstance(side, tuple):
+        # a row of connection constants as (numerators, denominator)
+        nums, den = side
+        return "[" + ", ".join(str(Fraction(c, den)) for c in nums) + "]"
     return str(side)
 
 
@@ -524,45 +536,47 @@ def _basis_instances(grid: SweepGrid, n_top: int) -> dict:
     }
 
 
-def _summation_constants(basis_name, s, mu, n, t_nums, values, s2) -> list:
+def _summation_constants(basis_name, s, mu, n, t_nums, values, s2) -> tuple:
     """Closed-form connection constants of the mixed family in the given
     target basis, for a single degree n.
 
     ``t_nums`` holds the mixed numbers T_0..T_n as (integer numerators,
     common denominator) and ``values`` the table T_i(j), j = 0..s or
     beyond, as (integer rows, common denominator); every constant is an
-    integer sum made a `Fraction` once."""
+    integer sum over the row's one denominator, and the row is returned
+    as a canonical ``(numerators, denominator)`` pair."""
     nums, den = t_nums
     if basis_name == "bernoulli":
         # L / C(s + l, l) is an integer for L the lcm of the binomials
         binoms = [comb(s + l, l) for l in range(n + 1)]
         scale = lcm(*binoms)
         weights = [scale // b * s2[l + s][s] for l, b in enumerate(binoms)]
-        return [
-            Fraction(
+        return _canonical_row(
+            [
                 comb(n, m)
                 * sum(
                     comb(n - m, l) * weights[l] * nums[n - m - l]
                     for l in range(n - m + 1)
-                ),
-                scale * den,
-            )
-            for m in range(n + 1)
-        ]
+                )
+                for m in range(n + 1)
+            ],
+            scale * den,
+        )
     if basis_name in ("euler", "frobenius-euler"):
         table, table_den = values
         if basis_name == "euler":
             weights = [comb(s, j) for j in range(s + 1)]
             scale = 2**s
         else:
-            # (-mu)^(s-j) / (1 - mu)^s with mu = p/q, both sides times q^s
+            # (-mu)^(s-j) / (1 - mu)^s with mu = p/q, both sides times q^s;
+            # the scale is negative for mu > 1 and odd s
             p, q = mu.numerator, mu.denominator
             weights = [comb(s, j) * (-p) ** (s - j) * q**j for j in range(s + 1)]
             scale = (q - p) ** s
-        return [
-            Fraction(comb(n, m) * sum(map(mul, weights, table[n - m])), scale * table_den)
-            for m in range(n + 1)
-        ]
+        return _canonical_row(
+            [comb(n, m) * sum(map(mul, weights, table[n - m])) for m in range(n + 1)],
+            scale * table_den,
+        )
     signed = basis_name == "rising"
     row = []
     for m in range(n + 1):
@@ -570,15 +584,16 @@ def _summation_constants(basis_name, s, mu, n, t_nums, values, s2) -> list:
         for l in range(n - m + 1):
             term = comb(n, l + m) * s2[l + m][m] * nums[n - m - l]
             total += -term if signed and l % 2 else term
-        row.append(Fraction(total, den))
-    return row
+        row.append(total)
+    return _canonical_row(row, den)
 
 
 def _reconstruct(row, basis_rows, basis_den) -> Polynomial:
-    """sum_m row[m] * basis[m], for the basis given as integer coefficient
+    """sum_m row[m] * basis[m], for the row of constants as
+    ``(numerators, denominator)`` and the basis as integer coefficient
     rows over ``basis_den``: one integer combination, one polynomial."""
-    coeffs, den = _common_denominator(row)
-    return _make(_combine(coeffs, basis_rows, len(row)), den * basis_den)
+    coeffs, den = row
+    return _make(_combine(coeffs, basis_rows, len(coeffs)), den * basis_den)
 
 
 def _basis_task(r, k, lam, ns, grid):
@@ -593,10 +608,12 @@ def _basis_task(r, k, lam, ns, grid):
     values = _integer_rows(
         [[t_polys[i](j) for j in range(shared["s_max"] + 1)] for i in range(n_top + 1)]
     )
-    for instance, expansion in zip(shared["instances"], shared["expansions"]):
-        basis_name, s, mu, _, (basis_rows, basis_den), target = instance
-        pairing_rows = connection_constants(source, target, n_top)
-        solve_rows = solve_in_basis(t_polys, expansion)
+    instances = shared["instances"]
+    # one source for every target, so fbar and 1/g(fbar) are built once
+    by_target = connection_rows(source, [instance[5] for instance in instances], n_top)
+    for instance, expansion, pairing_rows in zip(instances, shared["expansions"], by_target):
+        basis_name, s, mu, _, (basis_rows, basis_den), _ = instance
+        solved_rows = solve_rows(t_polys, expansion)
         extra = {"basis": basis_name}
         if s is not None:
             extra["s"] = s
@@ -605,7 +622,7 @@ def _basis_task(r, k, lam, ns, grid):
         for n in ns:
             row = _summation_constants(basis_name, s, mu, n, t_nums, values, s2)
             yield n, "summation vs pairing constants", row, pairing_rows[n], extra
-            yield n, "summation vs solved constants", row, solve_rows[n], extra
+            yield n, "summation vs solved constants", row, solved_rows[n], extra
             rebuilt = _reconstruct(row, basis_rows, basis_den)
             yield n, "basis reconstruction", rebuilt, t_polys[n], extra
 

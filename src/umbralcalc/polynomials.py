@@ -52,6 +52,24 @@ def _common_denominator(values) -> tuple:
     return [n * (den // d) for n, d in ratios], den
 
 
+def _canonical_row(num: list, den: int) -> tuple:
+    """The row of rationals num[i]/den as ``(numerators, denominator)``
+    with a positive denominator and ``gcd(den, *numerators) == 1``; the
+    numerators stay a list of the same length, a zero row is all zeros
+    over 1.  The form is unique, so two rows are equal exactly when their
+    canonical pairs are, and the denominator is the lcm of the entries'
+    reduced denominators, as `_common_denominator` gives it.  The result
+    may share ``num``."""
+    if den < 0:
+        num, den = [-c for c in num], -den
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return num, den
+
+
 def _normalised(num: list, den: int) -> tuple:
     """(numerators, denominator) in canonical form, for numerators ``num``
     (consumed) over the positive denominator ``den``."""
@@ -59,6 +77,8 @@ def _normalised(num: list, den: int) -> tuple:
         num.pop()
     if not num:
         return (), 1
+    # the reduction of `_canonical_row` for a positive den, inlined: this
+    # runs on every polynomial operation
     if den != 1:
         g = gcd(den, *num)
         if g != 1:

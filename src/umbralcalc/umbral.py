@@ -7,14 +7,16 @@ functional object, so the pairing is plain coefficient contraction.
 Acting with f(t) as an operator sends p(x) to sum a_k p^(k)(x).
 
 The two routes to connection constants run on integer numerators over
-one common denominator and make one `Fraction` per output constant.  The
-pairing route, `connection_constants`, brings the prefactor and l(fbar)
-to integers once and builds each power by integer convolution, or by a
-plain shift when l(fbar) is the series t (Appell targets).  The solve
-route inverts a triangular basis once, `monomial_expansion`, so that
-expressing any polynomial in it, `solve_in_basis`, is one integer
-row-times-matrix product.
-Only the scalar representation changes: the pairing route reads only
+one common denominator.  The pairing route brings the prefactor and
+l(fbar) to integers once and builds each power by integer convolution, or
+by a plain shift when l(fbar) is the series t (Appell targets).  The
+solve route inverts a triangular basis once, `monomial_expansion`, so
+that expressing any polynomial in it is one integer row-times-matrix
+product.  Over each integer core, `connection_constants` and
+`solve_in_basis` make one `Fraction` per constant, and `connection_rows`
+(one source, many targets) and `solve_rows` give each row as a canonical
+``(numerators, denominator)`` pair for the ``bases`` verifier.
+Only the row representation is shared: the pairing route reads only
 the two Sheffer pairs and the solve route only the integer numerators of
 the polynomials and the basis.  Neither calls the other or any
 closed-form summation, so each stays an independent check of the others
@@ -33,7 +35,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm, perm
 from operator import mul
 
-from .polynomials import Polynomial, X, _common_denominator
+from .polynomials import Polynomial, X, _canonical_row, _common_denominator
 from .series import TruncatedSeries, exp_series
 
 __all__ = [
@@ -45,8 +47,10 @@ __all__ = [
     "sheffer_orthogonality_check",
     "appell_next",
     "connection_constants",
+    "connection_rows",
     "monomial_expansion",
     "solve_in_basis",
+    "solve_rows",
 ]
 
 
@@ -205,6 +209,47 @@ def appell_next(pair: ShefferPair, s_n: Polynomial) -> Polynomial:
     return X * s_n - apply_operator(ratio, s_n)
 
 
+def _pairing_columns(source: ShefferPair, targets, n_max: int):
+    """Yield per target (h, l) the columns m = 0..n_max of the connection
+    constants of the source (g, f): the power (h(fbar)/g(fbar)) l(fbar)^m
+    as ``(numerators, den)``, so that C_{n,m} = (n!/m!) numerators[n] / den.
+
+    fbar, the compositional inverse of f, and 1/g(fbar) are computed once
+    for all targets.  Each power is integer numerators over one
+    denominator: the previous one shifted when l(fbar) is the series t
+    (Appell targets), else convolved with l(fbar)'s numerators, so every
+    column's denominator divides the next one's.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    if source.order < n_max or any(target.order < n_max for target in targets):
+        raise ValueError("pair truncation orders must be at least n_max")
+    fbar = source.f.comp_inverse()
+    inverse = source.g.compose(fbar).invert()
+    size = n_max + 1
+    for target in targets:
+        prefactor = target.g.compose(fbar) * inverse
+        ell = target.f.compose(fbar)
+        power, den = _common_denominator(prefactor.coefficients[:size])
+        is_shift = ell._is_identity()
+        if not is_shift:
+            ell_num, ell_den = _common_denominator(ell.coefficients[:size])
+        columns = [(power, den)]
+        for m in range(n_max):
+            if is_shift:
+                power = [0] + power[:-1]
+            else:
+                # power has valuation >= m and ell valuation 1, so the product's
+                # t^i coefficient for m < i is sum_{m <= j < i} power_j ell_{i-j}
+                power = [0] * (m + 1) + [
+                    sum(map(mul, power[m:i], ell_num[i - m:0:-1]))
+                    for i in range(m + 1, size)
+                ]
+                den *= ell_den
+            columns.append((power, den))
+        yield columns
+
+
 def connection_constants(source: ShefferPair, target: ShefferPair, n_max: int) -> list:
     """Lower-triangular constants C[n][m] expressing the source Sheffer
     sequence in the target one: S_n(x) = sum_m C[n][m] r_m(x).
@@ -212,36 +257,34 @@ def connection_constants(source: ShefferPair, target: ShefferPair, n_max: int) -
     Computed from C_{n,m} = (n!/m!) [t^n] (h(fbar)/g(fbar)) l(fbar)^m,
     where (g, f) is the source pair, (h, l) the target, and fbar the
     compositional inverse of f.  Each power is kept as integer numerators
-    over one denominator, and each constant is made one `Fraction`.
+    over one denominator, and each constant is made one `Fraction`
+    straight from its column.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    if source.order < n_max or target.order < n_max:
-        raise ValueError("pair truncation orders must be at least n_max")
-    fbar = source.f.comp_inverse()
-    prefactor = target.g.compose(fbar) * source.g.compose(fbar).invert()
-    ell = target.f.compose(fbar)
-    size = n_max + 1
-    power, den = _common_denominator(prefactor.coefficients[:size])
-    is_shift = ell._is_identity()
-    if not is_shift:
-        ell_num, ell_den = _common_denominator(ell.coefficients[:size])
-    rows = [[] for _ in range(size)]
-    for m in range(size):
-        for n in range(m, size):
+    (columns,) = _pairing_columns(source, [target], n_max)
+    rows = [[] for _ in range(n_max + 1)]
+    for m, (power, den) in enumerate(columns):
+        for n in range(m, n_max + 1):
             rows[n].append(Fraction(perm(n, n - m) * power[n], den))
-        if m == n_max:
-            break
-        if is_shift:
-            power = [0] + power[:-1]
-        else:
-            # power has valuation >= m and ell valuation 1, so the product's
-            # t^i coefficient for m < i is sum_{m <= j < i} power_j ell_{i-j}
-            power = [0] * (m + 1) + [
-                sum(map(mul, power[m:i], ell_num[i - m:0:-1])) for i in range(m + 1, size)
-            ]
-            den *= ell_den
     return rows
+
+
+def connection_rows(source: ShefferPair, targets, n_max: int) -> list:
+    """`connection_constants` of one source in each of ``targets``, on
+    integers: per target, the rows C[0..n_max] as canonical
+    ``(numerators, denominator)`` pairs (`polynomials._canonical_row`),
+    each over the denominator of its last column."""
+    out = []
+    for columns in _pairing_columns(source, targets, n_max):
+        rows = []
+        for n in range(n_max + 1):
+            top = columns[n][1]
+            rows.append(_canonical_row(
+                [perm(n, n - m) * power[n] * (top // den)
+                 for m, (power, den) in enumerate(columns[: n + 1])],
+                top,
+            ))
+        out.append(rows)
+    return out
 
 
 def monomial_expansion(basis) -> tuple:
@@ -279,14 +322,10 @@ def monomial_expansion(basis) -> tuple:
     return columns, den
 
 
-def solve_in_basis(polys, expansion) -> list:
-    """Coefficients C[n][m] with polys[n] = sum_m C[n][m] basis[m], for
-    ``expansion`` = `monomial_expansion(basis)`: one integer
-    row-times-matrix product per polynomial, one `Fraction` per constant.
-    A polynomial of degree d gets d + 1 constants (the zero polynomial
-    one)."""
+def _solve_numerators(polys, expansion):
+    """Yield, per polynomial, the integer numerators of its constants in
+    the basis and their common positive denominator."""
     columns, den = expansion
-    rows = []
     for p in polys:
         nums = p._num
         if len(nums) > len(columns):
@@ -294,10 +333,27 @@ def solve_in_basis(polys, expansion) -> list:
                 f"a degree-{p.degree} polynomial is not expressible in a basis "
                 f"of degrees < {len(columns)}"
             )
-        scale = p._den * den
-        row = [
-            Fraction(sum(map(mul, nums[m:], col)), scale)
-            for m, col in enumerate(columns[: len(nums)])
-        ]
-        rows.append(row or [Fraction(0)])
-    return rows
+        yield [
+            sum(map(mul, nums[m:], col)) for m, col in enumerate(columns[: len(nums)])
+        ], p._den * den
+
+
+def solve_in_basis(polys, expansion) -> list:
+    """Coefficients C[n][m] with polys[n] = sum_m C[n][m] basis[m], for
+    ``expansion`` = `monomial_expansion(basis)`: one integer
+    row-times-matrix product per polynomial, one `Fraction` per constant.
+    A polynomial of degree d gets d + 1 constants (the zero polynomial
+    one)."""
+    return [
+        [Fraction(c, scale) for c in row] or [Fraction(0)]
+        for row, scale in _solve_numerators(polys, expansion)
+    ]
+
+
+def solve_rows(polys, expansion) -> list:
+    """`solve_in_basis` on integers: each row as a canonical
+    ``(numerators, denominator)`` pair (`polynomials._canonical_row`)."""
+    return [
+        _canonical_row(row or [0], scale)
+        for row, scale in _solve_numerators(polys, expansion)
+    ]

@@ -1,22 +1,32 @@
 import concurrent.futures
 import functools
+import inspect
 import json
 import multiprocessing
 from dataclasses import replace
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
-from umbralcalc import identities
+from umbralcalc import identities, umbral
 from umbralcalc.families import (
     bernoulli_kernel,
     family_numbers,
     family_polys,
+    mixed_kernel,
     stirling2_triangle,
 )
-from umbralcalc.polynomials import Polynomial, _common_denominator
-from umbralcalc.umbral import VerificationReport, sheffer_orthogonality_check
+from umbralcalc.polynomials import Polynomial, _canonical_row, _common_denominator
+from umbralcalc.umbral import (
+    VerificationReport,
+    connection_constants,
+    connection_rows,
+    monomial_expansion,
+    sheffer_orthogonality_check,
+    solve_in_basis,
+    solve_rows,
+)
 from umbralcalc.identities import (
     DEFAULT_GRID,
     SPECS,
@@ -200,6 +210,16 @@ def test_grid_validation():
         SweepGrid(s_values=(-1,))
 
 
+@pytest.mark.parametrize(
+    "axis",
+    [{"r_values": (1.5,)}, {"k_values": (2.0,)}, {"s_values": (1.0,)}, {"r_values": (True,)}],
+)
+def test_grid_rejects_non_integer_axes(axis):
+    # these reached the verifiers and died there, or ran with r = True
+    with pytest.raises(ValueError, match="must hold integers"):
+        SweepGrid(**axis)
+
+
 def test_grid_axes_given_as_lists_become_tuples():
     # the bases data is memoised on the grid, so a grid built from lists
     # must hash, and equal the grid built from tuples
@@ -260,7 +280,8 @@ def test_sweep_parallel_first_counterexample_is_stable():
 def _toy_checks(r, k, lam, ns, pulled):
     for n in ns:
         pulled.append(n)
-        lhs = [Fraction(n, 2), 3] if n == 1 else n
+        # a row of connection constants, [n/2, 3], as (numerators, denominator)
+        lhs = ([n, 6], 2) if n == 1 else n
         yield n, "toy", lhs, (n + 1 if n in (1, 3) else n), {"basis": "toy"}
 
 
@@ -508,6 +529,21 @@ def polynomial_reconstruction(row, basis):
     return rebuilt
 
 
+def rendered(row):
+    """A canonical ``(numerators, denominator)`` row as `Fraction` values."""
+    nums, den = row
+    return [Fraction(c, den) for c in nums]
+
+
+def assert_canonical(row):
+    nums, den = row
+    assert type(nums) is list and all(type(c) is int for c in nums)
+    assert type(den) is int and den > 0
+    assert gcd(den, *nums) == 1
+    if not any(nums):
+        assert den == 1
+
+
 REFERENCE_N_TOP = 12
 REFERENCE_S = (0, 1, 2, 3, 4)
 # mu > 1, mu < 0 and a denominator q - p < 0
@@ -533,17 +569,63 @@ def test_integer_summation_matches_fraction_reference(r, k, lam):
         for n in range(n_top + 1):
             expected = fraction_summation_constants(name, s, mu, n, t_nums, values, s2)
             row = identities._summation_constants(name, s, mu, n, int_nums, int_values, s2)
-            assert row == expected, (name, s, mu, n)
-            assert all(type(c) is Fraction for c in row)
+            assert_canonical(row)
+            assert rendered(row) == expected, (name, s, mu, n)
             # the true row rebuilds T_n; a perturbed one any other combination
-            for trial in (row, [c + Fraction(m + 1, 3) for m, c in enumerate(row)]):
+            perturbed = [c + Fraction(m + 1, 3) for m, c in enumerate(expected)]
+            for trial in (row, _canonical_row(*_common_denominator(perturbed))):
+                assert_canonical(trial)
                 rebuilt = identities._reconstruct(trial, basis_rows, basis_den)
-                assert rebuilt == polynomial_reconstruction(trial, basis)
+                assert rebuilt == polynomial_reconstruction(rendered(trial), basis)
             assert identities._reconstruct(row, basis_rows, basis_den) == t_polys[n]
+        # the zero family gives the zero row: all zeros over 1
+        zero_nums = ([0] * (n_top + 1), 7)
+        zero_values = ([[0] * (s_max + 1) for _ in range(n_top + 1)], 5)
+        for n in (0, n_top):
+            zero = identities._summation_constants(name, s, mu, n, zero_nums, zero_values, s2)
+            assert zero == ([0] * (n + 1), 1)
     assert {name for name, _, _ in seen} == set(TARGETS)
     assert {(s, mu) for name, s, mu in seen if name == "frobenius-euler"} == {
         (s, mu) for s in REFERENCE_S for mu in REFERENCE_MU
     }
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 12, 16])
+def test_public_constants_render_the_integer_rows_of_bases(n_max):
+    # bases compares the integer rows; the CLI and the oracle tests read the
+    # public Fraction rows, which must be the same constants, in every
+    # target and past the default degree for falling and rising
+    r, k, lam = 2, -3, Fraction(-3, 5)
+    order = max(n_max, 1)
+    source = appell_pair(mixed_kernel(r, k, lam, order))
+    t_polys = family_polys("mixed-T", n_max, r, k, lam) + [Polynomial()]
+    for s, mu in ((3, Fraction(9, 2)), (2, Fraction(2, 3))):
+        targets = [target.pair(s, mu, order) for target in TARGETS.values()]
+        by_target = connection_rows(source, targets, n_max)
+        assert len(by_target) == len(TARGETS)
+        for (name, spec), target, rows in zip(TARGETS.items(), targets, by_target):
+            assert [rendered(row) for row in rows] == connection_constants(
+                source, target, n_max
+            ), name
+            expansion = monomial_expansion(spec.basis(s, mu, n_max))
+            solved = solve_rows(t_polys, expansion)
+            assert [rendered(row) for row in solved] == solve_in_basis(t_polys, expansion)
+            assert solved[-1] == ([0], 1)
+            for row in rows + solved:
+                assert_canonical(row)
+
+
+def test_bases_integer_entries_are_public_umbral_names():
+    # the benchmark's tracer wraps only the names in umbral.__all__; an
+    # entry point bases calls under a private name would move its time
+    # into the identities layer
+    called = {
+        name
+        for name, value in vars(identities).items()
+        if inspect.isfunction(value) and value.__module__ == umbral.__name__
+    }
+    assert {"connection_rows", "solve_rows"} <= called
+    assert called <= set(umbral.__all__)
 
 
 # --- the integer alternating-shift sums against the Polynomial loops --------

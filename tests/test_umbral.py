@@ -1,6 +1,6 @@
 import pickle
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,11 +24,13 @@ from umbralcalc.umbral import (
     appell_next,
     apply_operator,
     connection_constants,
+    connection_rows,
     monomial_expansion,
     pairing,
     sheffer_orthogonality_check,
     sheffer_polynomials,
     solve_in_basis,
+    solve_rows,
 )
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
@@ -322,6 +324,11 @@ def all_fractions(rows):
     return all(type(c) is Fraction for row in rows for c in row)
 
 
+def rendered(integer_rows):
+    """Canonical ``(numerators, denominator)`` rows as `Fraction` rows."""
+    return [[Fraction(c, den) for c in nums] for nums, den in integer_rows]
+
+
 # mu > 1, mu < 0 and a denominator q - p < 0
 ORACLE_GRID = identities.SweepGrid(
     n_max=12, mu_values=(Fraction(-1), Fraction(3), Fraction(2, 3), Fraction(9, 2))
@@ -367,6 +374,9 @@ def test_integer_pairing_matches_fraction_oracle_on_general_pairs(source, target
     rows = connection_constants(source, target, n_max)
     assert rows == fraction_connection_constants(source, target, n_max)
     assert all_fractions(rows)
+    (integer_rows,) = connection_rows(source, [target], n_max)
+    assert rendered(integer_rows) == rows
+    assert all(den > 0 and gcd(den, *nums) == 1 for nums, den in integer_rows)
 
 
 triangular_bases = st.integers(0, 5).flatmap(
@@ -385,6 +395,7 @@ def test_integer_solve_matches_fraction_oracle_on_general_bases(basis, to_expand
     rows = solve_in_basis(to_expand, monomial_expansion(basis))
     assert rows == fraction_expand_in_basis(to_expand, basis)
     assert all_fractions(rows)
+    assert rendered(solve_rows(to_expand, monomial_expansion(basis))) == rows
 
 
 def test_bases_tasks_leave_the_shared_data_out(monkeypatch):
