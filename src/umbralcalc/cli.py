@@ -36,7 +36,7 @@ from .identities import (
     appell_pair,
     verify_all,
 )
-from .polynomials import Polynomial, parse_rational
+from .polynomials import Polynomial, _render, parse_rational
 from .umbral import connection_constants
 
 FORMATS = ("json", "csv", "latex")
@@ -101,25 +101,7 @@ def latex_rational(value) -> str:
 
 def latex_polynomial(p: Polynomial) -> str:
     """Descending powers; rational coefficients as \\frac{p}{q}."""
-    if not p:
-        return "0"
-    terms = []
-    for k in range(p.degree, -1, -1):
-        c = p.coefficient(k)
-        if not c:
-            continue
-        mag = abs(c)
-        if k == 0:
-            body = latex_rational(mag)
-        else:
-            var = "x" if k == 1 else f"x^{{{k}}}"
-            body = var if mag == 1 else f"{latex_rational(mag)} {var}"
-        terms.append(("-" if c < 0 else "+", body))
-    sign, body = terms[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in terms[1:]:
-        out += f" {sign} {body}"
-    return out
+    return _render(p, latex_rational, lambda k: f"x^{{{k}}}", " ")
 
 
 # ---------------------------------------------------------------------------

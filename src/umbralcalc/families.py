@@ -65,7 +65,7 @@ from functools import lru_cache
 from math import factorial, gcd
 from operator import mul
 
-from .polynomials import _common_denominator, _make
+from .polynomials import _canonical_row, _common_denominator, _make
 from .series import TruncatedSeries, exp_series
 
 __all__ = [
@@ -180,16 +180,12 @@ def polylog_series(index: int, order: int) -> TruncatedSeries:
         acc = [c * acc_scale for c in acc]
         for i, c in enumerate(power):
             acc[j + i] += w * c
-        acc_den *= acc_scale
-        g = gcd(acc_den, *acc)
-        acc = [c // g for c in acc]
-        acc_den //= g
+        acc, acc_den = _canonical_row(acc, acc_den * acc_scale)
         if j < order:
-            power = [sum(map(mul, power[: i + 1], y[i::-1])) for i in range(order - j)]
-            power_den *= d
-            g = gcd(power_den, *power)
-            power = [c // g for c in power]
-            power_den //= g
+            power, power_den = _canonical_row(
+                [sum(map(mul, power[: i + 1], y[i::-1])) for i in range(order - j)],
+                power_den * d,
+            )
     return TruncatedSeries._make([Fraction(c, acc_den) for c in acc], order)
 
 

@@ -8,19 +8,21 @@ comparisons are exact rational equality; there is no tolerance anywhere.
 
 The closed-form summation sides (the connection constants and the basis
 reconstruction of ``bases``, thm1-2's triple-sum and coefficient forms,
-thm5's weights, thm6's alternating sums and foundations' alternating-shift
-and partition-sum actions) run fraction-free: their rational inputs are
-brought once per task to integer numerators over one common denominator,
-each output value is an integer sum divided once, and a polynomial output
-is built from its integer coefficients directly.  A row of connection
-constants never becomes `Fraction` values: all three sides of ``bases``
-give it as a canonical ``(numerators, denominator)`` pair
+thm5's weights and thm6's alternating sums) run fraction-free: their
+rational inputs are brought once per task to integer numerators over one
+common denominator, each output value is an integer sum divided once, and
+a polynomial output is built from its integer coefficients directly.  A
+row of connection constants never becomes `Fraction` values: all three
+sides of ``bases`` give it as a canonical ``(numerators, denominator)`` pair
 (`polynomials._canonical_row`), so rows compare as pairs and only a
 counterexample's text renders the fractions.  Only the scalar and row
 representations are shared with the `Polynomial` core; each side keeps
 its own formula and never calls the kernel expansion, pairing or
 triangular solve of the side it is compared with, so a comparison still
-checks two computations.
+checks two computations.  Foundations' alternating-shift and partition-sum
+actions on x^n are thm1-2's two forms at order r = 0, whose Frobenius-Euler
+numbers are 1, 0, 0, ...: one generator, ``_closed_forms``, yields both
+for either sequence of numbers, and reads no generating function.
 
 A verifier's task is a generator run once per (r, k, lambda) grid point.
 It computes both sides of each comparison with its own code and yields
@@ -146,9 +148,6 @@ class SweepGrid:
             raise ValueError("n_min must be nonnegative")
         if self.n_max < self.n_min:
             raise ValueError("n_max must be at least n_min")
-        for name in ("r_values", "k_values", "s_values", "lambda_values", "mu_values"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be nonempty")
         for name in ("r_values", "k_values", "s_values"):
             for v in getattr(self, name):
                 if not isinstance(v, int) or isinstance(v, bool):
@@ -166,6 +165,14 @@ class SweepGrid:
         object.__setattr__(
             self, "mu_values", tuple(require_not_one(v, "mu") for v in self.mu_values)
         )
+        for name in ("r_values", "k_values", "s_values", "lambda_values", "mu_values"):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} must be nonempty")
+            # a repeated value would check each of its points twice
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"{name} must hold distinct values; {repeated[0]} repeats")
 
     def degrees(self) -> tuple:
         return tuple(range(self.n_min, self.n_max + 1))
@@ -287,37 +294,32 @@ def _combine(weights, rows, length: int) -> list:
     return out
 
 
-def _alternating_shifts(inv_ints, rows, n) -> list:
-    """sum_{m<=n} inv_ints[m] sum_{j<=m} (-1)^j C(m, j) rows[j]: the
-    alternating-shift sums of the closed forms, on integer rows."""
-    inner = [
-        _combine([comb(m, j) * (-1) ** j for j in range(m + 1)], rows, n + 1)
-        for m in range(n + 1)
-    ]
-    return _combine(inv_ints, inner, n + 1)
-
-
-# ---------------------------------------------------------------------------
-# closed forms (id "thm1-2")
-
-def _closed_forms_task(r, k, lam, ns):
+def _closed_forms(h, k, ns, checks):
+    """Yield, per degree n of ``ns``, ``(n, checks[0], triple_sum)`` and
+    then ``(n, checks[1], coefficient_form)``: the two closed forms of
+    sum_l C(n, l) h_{n-l} B_l^(k)(x) (Theorems 1 and 2), for the numbers h
+    given as ``(integer numerators, den)`` through max(ns).  With h the
+    Frobenius-Euler numbers of order r this is T_n^(r,k); with
+    h = (1, 0, ..., 0), those of order 0, it is B_n^(k), and the two forms
+    are the alternating-shift and partition-sum actions on x^n."""
+    h_ints, h_den = h
     n_top = max(ns)
-    t_polys = family_polys("mixed-T", n_top, r, k, lam)
-    h_nums = family_numbers("frobenius-euler", n_top, r, lam)
     s2 = stirling2_triangle(n_top)
     inv_weights = [Fraction(m + 1) ** (-k) for m in range(n_top + 1)]
-    h_ints, h_den = _common_denominator(h_nums)
     inv_ints, inv_den = _common_denominator(inv_weights)
     fact_ints, fact_den = _common_denominator(
         [factorial(m) * w for m, w in enumerate(inv_weights)]
     )
     powers = _shifted_power_table(n_top)
     for n in ns:
-        expected = t_polys[n]
         h_weights = [comb(n, l) * h_ints[n - l] for l in range(n + 1)]
         shifted = [_combine(h_weights, powers[j], n + 1) for j in range(n + 1)]
-        first = _alternating_shifts(inv_ints, shifted, n)
-        yield n, "triple-sum form", _make(first, h_den * inv_den), expected, {}
+        # sum_m inv_m sum_{j<=m} (-1)^j C(m, j) shifted[j]
+        alternating = [
+            _combine([comb(m, j) * (-1) ** j for j in range(m + 1)], shifted, n + 1)
+            for m in range(n + 1)
+        ]
+        yield n, checks[0], _make(_combine(inv_ints, alternating, n + 1), h_den * inv_den)
         coeffs = []
         for l in range(n + 1):
             total = 0
@@ -332,7 +334,17 @@ def _closed_forms_task(r, k, lam, ns):
                         term = outer * fact_ints[m] * v
                         total += term if (n - m - j) % 2 == 0 else -term
             coeffs.append(total)
-        yield n, "coefficient form", _make(coeffs, h_den * fact_den), expected, {}
+        yield n, checks[1], _make(coeffs, h_den * fact_den)
+
+
+# ---------------------------------------------------------------------------
+# closed forms (id "thm1-2")
+
+def _closed_forms_task(r, k, lam, ns):
+    t_polys = family_polys("mixed-T", max(ns), r, k, lam)
+    h = _common_denominator(family_numbers("frobenius-euler", max(ns), r, lam))
+    for n, check, form in _closed_forms(h, k, ns, ("triple-sum form", "coefficient form")):
+        yield n, check, form, t_polys[n], {}
 
 
 # ---------------------------------------------------------------------------
@@ -643,11 +655,11 @@ def _foundations_task(r, k, lam, ns):
     h_series = sheffer_polynomials(
         appell_pair(frobenius_euler_kernel(r, lam, n_top + 1)), n_top
     )
-    s2 = stirling2_triangle(n_top)
-    powers = _shifted_power_table(n_top)
     operator = poly_bernoulli_kernel(k, n_top)
-    inv_weights = [Fraction(m + 1) ** (-k) for m in range(n_top + 1)]
-    inv_ints, inv_den = _common_denominator(inv_weights)
+    # the closed forms of thm1-2 at order zero, whose numbers are 1, 0, 0, ...
+    actions = _closed_forms(
+        ([1] + [0] * n_top, 1), k, ns, ("alternating-shift action", "partition-sum action")
+    )
     for n in ns:
         if n >= 1:
             yield n, "derivative rule", t_polys[n].derivative(), n * t_polys[n - 1], {}
@@ -661,18 +673,9 @@ def _foundations_task(r, k, lam, ns):
         yield n, "polynomial/number convolution", conv_b, t_polys[n], {}
         binomial = Polynomial([comb(n, l) * h_nums[n - l] for l in range(n + 1)])
         yield n, "binomial expansion", binomial, h_series[n], {}
-        alternating = _alternating_shifts(inv_ints, [row[n] for row in powers], n)
-        yield n, "alternating-shift action", _make(alternating, inv_den), pb_polys[n], {}
-        coeffs = []
-        for j in range(n + 1):
-            total = 0
-            for m in range(n - j + 1):
-                v = s2[n - j][m]
-                if v:
-                    term = inv_ints[m] * comb(n, j) * factorial(m) * v
-                    total += term if (n - m - j) % 2 == 0 else -term
-            coeffs.append(total)
-        yield n, "partition-sum action", _make(coeffs, inv_den), pb_polys[n], {}
+        for _ in range(2):
+            _, check, form = next(actions)
+            yield n, check, form, pb_polys[n], {}
         action = apply_operator(operator, Polynomial.monomial(n))
         yield n, "operator action", action, pb_polys[n], {}
         yield n, "order-zero degeneration", t_zero[n], pb_polys[n], {}

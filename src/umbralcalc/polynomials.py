@@ -122,6 +122,43 @@ def _convolve(a, b) -> list:
     return out
 
 
+def _power(base, exponent: int, one):
+    """base ** exponent for a nonnegative integer exponent, by repeated
+    squaring from the unit ``one``."""
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
+
+
+def _render(p: "Polynomial", number, power, joiner: str) -> str:
+    """The nonzero terms of p in descending powers, "-" or "+" between
+    them: a coefficient's magnitude written by ``number``, x^k for k >= 2
+    by ``power(k)``, and ``joiner`` between a coefficient other than 1 and
+    its power of x."""
+    den = p._den
+    text = ""
+    for k in range(len(p._num) - 1, -1, -1):
+        c = p._num[k]
+        if not c:
+            continue
+        mag = Fraction(abs(c), den)
+        if k == 0:
+            body = number(mag)
+        else:
+            var = "x" if k == 1 else power(k)
+            body = var if mag == 1 else f"{number(mag)}{joiner}{var}"
+        if text:
+            text += f" {'-' if c < 0 else '+'} {body}"
+        else:
+            text = "-" + body if c < 0 else body
+    return text or "0"
+
+
 class Polynomial:
     """Dense univariate polynomial over the rationals.
 
@@ -259,16 +296,7 @@ class Polynomial:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        result = Polynomial([1])
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, exponent, Polynomial([1]))
 
     def __bool__(self):
         return bool(self._num)
@@ -297,27 +325,7 @@ class Polynomial:
         return f"Polynomial([{', '.join(str(c) for c in self.coefficients)}])"
 
     def __str__(self):
-        coeffs = self.coefficients
-        if not coeffs:
-            return "0"
-        parts = []
-        for k in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[k]
-            if not c:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                var = "x" if k == 1 else f"x^{k}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return _render(self, str, lambda k: f"x^{k}", "*")
 
 
 #: The polynomial x.

@@ -12,7 +12,9 @@ supported instantiation (used for series of the shape f(t) * e^{x t}).
 Rational coefficients embed into the polynomial ring through the operator
 protocol, so series over the two rings mix freely; combining genuinely
 incompatible coefficient types raises TypeError from the coefficient
-arithmetic itself.
+arithmetic itself.  An inexact number (a float, complex or Decimal) is no
+exact ring element: given as a coefficient or a scalar operand it raises
+TypeError.
 
 Coefficients are stored as given, but the two quadratic loops,
 multiplication and inversion, run fraction-free when every coefficient is
@@ -30,17 +32,25 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd
+from numbers import Number, Rational
 from operator import mul
 from typing import Iterable
 
-from .polynomials import _RATIONAL, _common_denominator
+from .polynomials import _RATIONAL, _common_denominator, _power
 
 __all__ = ["TruncatedSeries", "exp_series"]
 
 
 def _coerce(value):
+    """An int as a `Fraction`; any other coefficient or scalar as given,
+    except an inexact number (a float, complex or Decimal), which raises
+    TypeError."""
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, Number) and not isinstance(value, Rational):
+        raise TypeError(f"series coefficients must be exact, not {value!r}")
     return value
 
 
@@ -226,15 +236,7 @@ class TruncatedSeries:
         if not isinstance(exponent, int):
             raise TypeError("series exponent must be an integer")
         base = self if exponent >= 0 else self.invert()
-        e = abs(exponent)
-        result = TruncatedSeries.constant(Fraction(1), self._order)
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(base, abs(exponent), TruncatedSeries.constant(Fraction(1), self._order))
 
     def _is_identity(self) -> bool:
         return (

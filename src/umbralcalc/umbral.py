@@ -12,10 +12,11 @@ l(fbar) to integers once and builds each power by integer convolution, or
 by a plain shift when l(fbar) is the series t (Appell targets).  The
 solve route inverts a triangular basis once, `monomial_expansion`, so
 that expressing any polynomial in it is one integer row-times-matrix
-product.  Over each integer core, `connection_constants` and
-`solve_in_basis` make one `Fraction` per constant, and `connection_rows`
-(one source, many targets) and `solve_rows` give each row as a canonical
-``(numerators, denominator)`` pair for the ``bases`` verifier.
+product.  Over the pairing core, `connection_constants` makes one
+`Fraction` per constant for the command line, and `connection_rows` (one
+source, many targets) gives each row as a canonical ``(numerators,
+denominator)`` pair; `solve_rows` gives the solve route's rows in the same
+form, so the ``bases`` verifier compares rows as pairs.
 Only the row representation is shared: the pairing route reads only
 the two Sheffer pairs and the solve route only the integer numerators of
 the polynomials and the basis.  Neither calls the other or any
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm, perm
+from math import factorial, lcm, perm
 from operator import mul
 
 from .polynomials import Polynomial, X, _canonical_row, _common_denominator
@@ -49,7 +50,6 @@ __all__ = [
     "connection_constants",
     "connection_rows",
     "monomial_expansion",
-    "solve_in_basis",
     "solve_rows",
 ]
 
@@ -310,11 +310,7 @@ def monomial_expansion(basis) -> tuple:
                 scale = nums[j] * (den // e)
                 for m, v in enumerate(q):
                     acc[m] -= scale * v
-        den *= nums[i]
-        if den < 0:
-            acc, den = [-c for c in acc], -den
-        g = gcd(den, *acc)
-        rows.append(([c // g for c in acc], den // g))
+        rows.append(_canonical_row(acc, den * nums[i]))
     den = lcm(*[e for _, e in rows])
     columns = [
         [q[m] * (den // e) for q, e in rows[m:]] for m in range(len(rows))
@@ -322,10 +318,15 @@ def monomial_expansion(basis) -> tuple:
     return columns, den
 
 
-def _solve_numerators(polys, expansion):
-    """Yield, per polynomial, the integer numerators of its constants in
-    the basis and their common positive denominator."""
+def solve_rows(polys, expansion) -> list:
+    """Coefficients C[n][m] with polys[n] = sum_m C[n][m] basis[m], for
+    ``expansion`` = `monomial_expansion(basis)`: one integer
+    row-times-matrix product per polynomial, each row a canonical
+    ``(numerators, denominator)`` pair (`polynomials._canonical_row`).  A
+    polynomial of degree d gets d + 1 constants (the zero polynomial
+    one)."""
     columns, den = expansion
+    rows = []
     for p in polys:
         nums = p._num
         if len(nums) > len(columns):
@@ -333,27 +334,6 @@ def _solve_numerators(polys, expansion):
                 f"a degree-{p.degree} polynomial is not expressible in a basis "
                 f"of degrees < {len(columns)}"
             )
-        yield [
-            sum(map(mul, nums[m:], col)) for m, col in enumerate(columns[: len(nums)])
-        ], p._den * den
-
-
-def solve_in_basis(polys, expansion) -> list:
-    """Coefficients C[n][m] with polys[n] = sum_m C[n][m] basis[m], for
-    ``expansion`` = `monomial_expansion(basis)`: one integer
-    row-times-matrix product per polynomial, one `Fraction` per constant.
-    A polynomial of degree d gets d + 1 constants (the zero polynomial
-    one)."""
-    return [
-        [Fraction(c, scale) for c in row] or [Fraction(0)]
-        for row, scale in _solve_numerators(polys, expansion)
-    ]
-
-
-def solve_rows(polys, expansion) -> list:
-    """`solve_in_basis` on integers: each row as a canonical
-    ``(numerators, denominator)`` pair (`polynomials._canonical_row`)."""
-    return [
-        _canonical_row(row or [0], scale)
-        for row, scale in _solve_numerators(polys, expansion)
-    ]
+        row = [sum(map(mul, nums[m:], col)) for m, col in enumerate(columns[: len(nums)])]
+        rows.append(_canonical_row(row or [0], p._den * den))
+    return rows

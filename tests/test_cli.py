@@ -366,3 +366,16 @@ def test_verify_usage_error_keeps_existing_output(tmp_path, capsys):
     assert main(argv) == 2
     assert "n >= 2" in capsys.readouterr().err
     assert out.read_text() == "earlier report\n"
+
+
+def test_verify_repeated_grid_value_exits_2_and_keeps_existing_output(tmp_path, capsys):
+    # 2/4 is the lambda 1/2 again; the sweep used to check every point twice
+    out = tmp_path / "out.txt"
+    out.write_text("earlier report\n")
+    argv = ["verify", "thm3", "--n-max", "2", "--r-set=1", "--k-set=1",
+            "--lambda-set=1/2,2/4", "--output", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: lambda_values must hold distinct values; 1/2 repeats\n"
+    )
+    assert out.read_text() == "earlier report\n"

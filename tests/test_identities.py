@@ -24,7 +24,6 @@ from umbralcalc.umbral import (
     connection_rows,
     monomial_expansion,
     sheffer_orthogonality_check,
-    solve_in_basis,
     solve_rows,
 )
 from umbralcalc.identities import (
@@ -217,6 +216,24 @@ def test_grid_validation():
 def test_grid_rejects_non_integer_axes(axis):
     # these reached the verifiers and died there, or ran with r = True
     with pytest.raises(ValueError, match="must hold integers"):
+        SweepGrid(**axis)
+
+
+@pytest.mark.parametrize(
+    "axis, repeated",
+    [
+        ({"r_values": (1, -1, 1)}, "1"),
+        ({"k_values": [0, 0]}, "0"),
+        ({"s_values": (2, 3, 2)}, "2"),
+        ({"lambda_values": (Fraction(1, 2), Fraction(2, 4))}, "1/2"),
+        ({"mu_values": (3, Fraction(6, 2))}, "3"),
+    ],
+)
+def test_grid_rejects_repeated_axis_values(axis, repeated):
+    # a repeated value checked each of its points twice and counted them
+    # as evidence twice, including equal rationals written differently
+    (name,) = axis
+    with pytest.raises(ValueError, match=f"^{name} must hold distinct values; {repeated} repeats$"):
         SweepGrid(**axis)
 
 
@@ -457,26 +474,52 @@ def test_default_grid_matches_documented_sweep():
     assert DEFAULT_GRID.mu_values == (Fraction(-1), Fraction(3), Fraction(2, 3))
 
 
-def test_benchmark_verifier_list_matches_the_table():
-    # perfbench/workloads.py counts the checks each verifier must report
-    # from its own copy of the ids and floors, and draws its requests from
-    # its own copy of the family and target names; they must follow the
-    # library's tables
+def _load_workloads():
     import importlib.util
     from pathlib import Path
-
-    from umbralcalc import cli
 
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_benchmark_verifier_list_matches_the_table():
+    # perfbench/workloads.py counts the checks each verifier must report
+    # from its own copy of the ids and floors, and draws its requests from
+    # its own copy of the family and target names; they must follow the
+    # library's tables
+    from umbralcalc import cli
+
+    workloads = _load_workloads()
     assert workloads.VERIFIERS == tuple(SPECS)
     assert workloads.MINIMUM_DEGREE == {
         identity: spec.floor for identity, spec in SPECS.items() if spec.floor > 0
     }
     assert workloads.FAMILIES == cli.FAMILIES
     assert workloads.TARGETS == tuple(TARGETS)
+
+
+@pytest.mark.parametrize(
+    "n_min, n_max", [(0, 3), (1, 3), (0, 1)], ids=["from-0", "from-1", "thm4-vacuous"]
+)
+def test_check_counts_follow_the_benchmark_gate(n_min, n_max):
+    # the benchmark fails a report whose count differs from the one its
+    # workloads compute from the verifiers' definitions; a change to a
+    # count must fail here first
+    grid = {
+        "n_min": n_min, "n_max": n_max, "r_values": [-1, 2], "k_values": [1],
+        "lambda_values": ["-2/3"], "s_values": [0, 2], "mu_values": ["3"],
+    }
+    expected = _load_workloads().expected_checks(grid)
+    reports = list(verify_all(SweepGrid(**grid)))
+    assert [report.identity for report in reports] == list(expected)
+    for report in reports:
+        assert report.passed, report.counterexample
+        assert report.checked == expected[report.identity], report.identity
+    if n_max == 1:
+        assert expected["thm4"] == 0
 
 
 # --- the fraction-free summation side against a Fraction reference ----------
@@ -604,12 +647,10 @@ def test_public_constants_render_the_integer_rows_of_bases(n_max):
         by_target = connection_rows(source, targets, n_max)
         assert len(by_target) == len(TARGETS)
         for (name, spec), target, rows in zip(TARGETS.items(), targets, by_target):
-            assert [rendered(row) for row in rows] == connection_constants(
-                source, target, n_max
-            ), name
-            expansion = monomial_expansion(spec.basis(s, mu, n_max))
-            solved = solve_rows(t_polys, expansion)
-            assert [rendered(row) for row in solved] == solve_in_basis(t_polys, expansion)
+            constants = connection_constants(source, target, n_max)
+            assert [rendered(row) for row in rows] == constants, name
+            solved = solve_rows(t_polys, monomial_expansion(spec.basis(s, mu, n_max)))
+            assert [rendered(row) for row in solved[:-1]] == constants, name
             assert solved[-1] == ([0], 1)
             for row in rows + solved:
                 assert_canonical(row)
@@ -701,6 +742,49 @@ def test_integer_alternating_shifts_match_polynomial_reference(r, k, lam):
         assert triple == polynomial_triple_sum(n, h_nums, inv_weights, powers) == t_poly
         action, pb_poly = sides[n, "alternating-shift action"]
         assert action == polynomial_alternating_shift(n, inv_weights, powers) == pb_poly
+
+
+#: The generating-function side of thm1-2 and foundations, as identities
+#: reads it: the family expansions, the kernel builders and the Sheffer and
+#: operator routes.
+GENERATING_FUNCTION_ROUTES = (
+    "family_polys", "family_numbers", "polys_from_kernel", "numbers_from_kernel",
+    "bernoulli_kernel", "euler_kernel", "frobenius_euler_kernel", "poly_bernoulli_kernel",
+    "mixed_kernel", "polylog_series", "exp_minus_one", "one_minus_exp_neg",
+    "sheffer_polynomials", "apply_operator",
+)
+
+
+@pytest.mark.parametrize("r, k, lam", [(-2, -3, Fraction(1, 2)), (3, 2, Fraction(-3, 5))])
+def test_shared_closed_forms_read_no_generating_function(monkeypatch, r, k, lam):
+    # thm1-2 and foundations take their closed forms from one generator;
+    # it must stay off the generating-function side they are compared
+    # with, or each check would compare a computation with itself
+    ns = tuple(range(9))
+    checks = {
+        identities._closed_forms_task: ("triple-sum form", "coefficient form"),
+        identities._foundations_task: ("alternating-shift action", "partition-sum action"),
+    }
+    expected = {
+        task: [(n, check, lhs) for n, check, lhs, _, _ in task(r, k, lam, ns) if check in names]
+        for task, names in checks.items()
+    }
+    frobenius_euler = _common_denominator(family_numbers("frobenius-euler", max(ns), r, lam))
+    order_zero = ([1] + [0] * max(ns), 1)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a closed form read the generating-function side")
+
+    for name in GENERATING_FUNCTION_ROUTES:
+        monkeypatch.setattr(identities, name, forbidden)
+    for task in checks:
+        with pytest.raises(AssertionError, match="generating-function side"):
+            next(task(r, k, lam, ns))
+    for task, h in ((identities._closed_forms_task, frobenius_euler),
+                    (identities._foundations_task, order_zero)):
+        drained = list(identities._closed_forms(h, k, ns, checks[task]))
+        assert len(drained) == 2 * len(ns)
+        assert drained == expected[task]
 
 
 # --- foundations' binomial expansion reads the series-product route ---------

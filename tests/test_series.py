@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 
@@ -245,6 +246,39 @@ def test_polynomial_coefficients_mix_with_rational_series():
     assert lifted.coefficient(0) == 0
     assert lifted.coefficient(1) == 1
     assert lifted.coefficient(2) == X + Fraction(1, 2)
+
+
+@pytest.mark.parametrize("inexact", [0.1, 1.0, complex(1, 1), Decimal("0.5")])
+def test_inexact_numbers_are_rejected(inexact):
+    # a float coefficient or scalar used to pass through, so that
+    # (0.1 + t)^2 read 0.010000000000000002 and inverses held floats
+    rational = TruncatedSeries([Fraction(1, 10), 1], 3)
+    with pytest.raises(TypeError, match="must be exact"):
+        TruncatedSeries([inexact, 1], 3)
+    for operation in (
+        lambda: rational + inexact,
+        lambda: inexact + rational,
+        lambda: rational - inexact,
+        lambda: inexact - rational,
+        lambda: rational * inexact,
+        lambda: inexact * rational,
+        lambda: exp_series(inexact, 3),
+    ):
+        with pytest.raises(TypeError):
+            operation()
+
+
+def test_exact_scalars_and_coefficients_still_mix():
+    rational = TruncatedSeries([Fraction(1, 10), 1], 3)
+    assert (rational**2).coefficients == (Fraction(1, 100), Fraction(1, 5), 1, 0)
+    assert rational.invert().coefficients == (10, -100, 1000, -10000)
+    assert (2 * rational + 1 - Fraction(1, 2)).coefficients == (Fraction(7, 10), 2, 0, 0)
+    assert exp_series(Fraction(1, 2), 3).coefficients == (
+        1, Fraction(1, 2), Fraction(1, 8), Fraction(1, 48)
+    )
+    assert all(type(c) is Fraction for c in exp_series(Fraction(1, 2), 3).coefficients)
+    assert exp_series(X, 4).coefficient(4) == Polynomial.monomial(4, Fraction(1, 24))
+    assert (rational * X).coefficient(1) == X
 
 
 # --- algebraic properties ---------------------------------------------------
