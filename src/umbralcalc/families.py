@@ -9,14 +9,14 @@ summation formulas for the same families live only in the identity suite,
 as an independent second computation path.
 
 The two steps that turn a kernel into a family run on integers.
-`polys_from_kernel` takes the kernel's coefficients once as integer
-numerators over one denominator and writes the t^n coefficient of the
-product with e^{x t} directly, p_n(x) = sum_i n!/i! a_{n-i} x^i, one
-polynomial per degree.  `polylog_series` keeps the powers of 1 - e^{-t}
-and the partial sum of the power series as integer numerators over one
-denominator each and makes a `Fraction` only for the returned series; it
-stays a power sum, so the Stirling closed forms of the identity suite
-remain a second path.
+`polys_from_kernel` reads the kernel's stored integer numerators and
+denominator and writes the t^n coefficient of the product with e^{x t}
+directly, p_n(x) = sum_i n!/i! a_{n-i} x^i, one polynomial per degree.
+`polylog_series` keeps the powers of 1 - e^{-t} and the partial sum of
+the power series as integer numerators over one denominator each, and
+stores the sum as the returned series with no `Fraction` made; it stays
+a power sum, so the Stirling closed forms of the identity suite remain a
+second path.
 Because the expansion is exactly the binomial (Appell) formula,
 foundations' "binomial expansion" check reads its other side from the
 series product over the polynomial ring (`umbral.sheffer_polynomials` of
@@ -65,7 +65,7 @@ from functools import lru_cache
 from math import factorial, gcd
 from operator import mul
 
-from .polynomials import _canonical_row, _common_denominator, _make
+from .polynomials import _canonical_row, _make
 from .series import TruncatedSeries, exp_series
 
 __all__ = [
@@ -167,7 +167,8 @@ def polylog_series(index: int, order: int) -> TruncatedSeries:
     """
     # y^j has valuation j, so power[i] is the numerator of its t^(j + i)
     # coefficient; y itself is the first power
-    y, d = _common_denominator(one_minus_exp_neg(order).coefficients[1:])
+    base = one_minus_exp_neg(order)
+    y, d = base._num[1:], base._den
     power, power_den = y, d
     acc, acc_den = [0] * (order + 1), 1
     for j in range(1, order + 1):
@@ -186,7 +187,7 @@ def polylog_series(index: int, order: int) -> TruncatedSeries:
                 [sum(map(mul, power[: i + 1], y[i::-1])) for i in range(order - j)],
                 power_den * d,
             )
-    return TruncatedSeries._make([Fraction(c, acc_den) for c in acc], order)
+    return TruncatedSeries._make(acc, acc_den, order)
 
 
 @_memoised
@@ -231,12 +232,12 @@ def mixed_kernel(r: int, index: int, lam, order: int) -> TruncatedSeries:
 def polys_from_kernel(kernel: TruncatedSeries, n_max: int) -> list:
     """Polynomials p_n(x) = n! [t^n] kernel * e^{x t} for n = 0..n_max.
 
-    With the rational kernel's coefficients as integer numerators A_j over
-    one denominator D, the t^n coefficient of the product gives
+    With the rational kernel stored as integer numerators A_j over one
+    denominator D, the t^n coefficient of the product gives
     p_n(x) = (1/D) sum_i n!/i! A_{n-i} x^i, built as one polynomial."""
     if n_max > kernel.order:
         raise ValueError("kernel truncation order is too small")
-    nums, den = _common_denominator(kernel.coefficients[: n_max + 1])
+    nums, den = kernel._num, kernel._den
     polys = []
     for n in range(n_max + 1):
         coeffs = [0] * (n + 1)

@@ -535,7 +535,8 @@ def _basis_instances(grid: SweepGrid, n_top: int) -> dict:
         for s in grid.s_values if "s" in target.needs else (None,):
             for mu in grid.mu_values if "mu" in target.needs else (None,):
                 basis = target.basis(s, mu, n_top)
-                rows = _integer_rows([p.coefficients for p in basis])
+                den = lcm(*[p._den for p in basis])
+                rows = [[c * (den // p._den) for c in p._num] for p in basis], den
                 instances.append((name, s, mu, basis, rows, target.pair(s, mu, order)))
                 expansions.append(monomial_expansion(basis))
     return {

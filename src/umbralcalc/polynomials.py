@@ -282,17 +282,6 @@ class Polynomial:
             return self * (Fraction(1) / Fraction(other))
         return NotImplemented
 
-    def __rtruediv__(self, other):
-        # scalar / polynomial: defined only for nonzero constants, which are
-        # the invertible elements of the polynomial ring
-        if isinstance(other, (int, Fraction)):
-            if self.degree > 0:
-                raise ValueError("only constant polynomials are invertible")
-            if not self._num:
-                raise ZeroDivisionError("division by the zero polynomial")
-            return Fraction(other) / self.coefficient(0)
-        return NotImplemented
-
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")

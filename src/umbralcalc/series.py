@@ -1,4 +1,5 @@
-"""Truncated formal power series in t over an exact commutative ring.
+"""Truncated formal power series in t over the rationals or the
+polynomials in x.
 
 Every series carries an explicit truncation order N and stores exactly the
 coefficients of t^0 .. t^N.  Binary operations truncate the result to the
@@ -6,61 +7,70 @@ smaller of the two orders; nothing is ever extrapolated or extended
 silently, because silent precision loss is the dominant bug class in
 series code.
 
-Coefficients are usually `Fraction`, but any exact ring type implementing
-the arithmetic operators works; polynomial coefficients are the second
-supported instantiation (used for series of the shape f(t) * e^{x t}).
-Rational coefficients embed into the polynomial ring through the operator
-protocol, so series over the two rings mix freely; combining genuinely
-incompatible coefficient types raises TypeError from the coefficient
-arithmetic itself.  An inexact number (a float, complex or Decimal) is no
-exact ring element: given as a coefficient or a scalar operand it raises
-TypeError.
+A series is stored like a `Polynomial`: a tuple of integer numerators over
+one positive denominator, in canonical form (``gcd(den, *num) == 1``,
+`polynomials._canonical_row`), so equality is structural comparison and a
+`Fraction` is made only where a coefficient leaves the class
+(`coefficient`, `coefficients`, ``repr``).  Polynomial coefficients are the
+second supported instantiation (series of the shape f(t) * e^{x t}): such a
+series stores its coefficients as polynomials over 1, and one whose
+coefficients all come out constant is stored as rational, so series over
+the two rings mix freely.  Each operation has one loop, run on the stored
+numerators whatever their ring; inversion alone is rational only and
+raises TypeError for a series with a nonconstant polynomial coefficient.
+An int, a `Fraction` or a polynomial is a coefficient or a scalar operand;
+anything else, an inexact number (a float, complex or Decimal) included,
+raises TypeError.
 
-Coefficients are stored as given, but the two quadratic loops,
-multiplication and inversion, run fraction-free when every coefficient is
-rational: they bring the coefficients to integer numerators over one
-common denominator, work on integers, and take one gcd per output
-coefficient.  Inversion keeps its partial results over one running
-denominator and cancels, at every step, the factor the new term shares
-with the constant term, instead of carrying the k-th power of the
-constant term's numerator as the denominator of the t^k term.  Any
-other coefficient type goes through the generic ring loop, so the loop is
-chosen by the coefficient type alone.
+Inversion keeps its partial results over one running denominator and
+cancels, at every step, the factor the new term shares with the constant
+term, instead of carrying the k-th power of the constant term's numerator
+as the denominator of the t^k term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd
-from numbers import Number, Rational
+from math import factorial, gcd, lcm
+from numbers import Rational
 from operator import mul
 from typing import Iterable
 
-from .polynomials import _RATIONAL, _common_denominator, _power
+from .polynomials import Polynomial, _canonical_row, _common_denominator, _power
+from .polynomials import _make as _polynomial
 
 __all__ = ["TruncatedSeries", "exp_series"]
 
 
-def _coerce(value):
-    """An int as a `Fraction`; any other coefficient or scalar as given,
-    except an inexact number (a float, complex or Decimal), which raises
+def _split(value) -> tuple:
+    """(numerator, denominator) of a coefficient or scalar: two ints for
+    a rational, the polynomial itself over 1; anything else raises
     TypeError."""
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, Number) and not isinstance(value, Rational):
-        raise TypeError(f"series coefficients must be exact, not {value!r}")
-    return value
+    if isinstance(value, Polynomial):
+        return value, 1
+    if isinstance(value, Rational):
+        return int(value.numerator), int(value.denominator)
+    raise TypeError(
+        f"series coefficients must be exact rationals or polynomials, not {value!r}"
+    )
 
 
-def _over_common_denominator(coeffs) -> tuple | None:
-    """(integer numerators, positive common denominator) of rational
-    coefficients; None when some coefficient is not a rational."""
-    for c in coeffs:
-        if not isinstance(c, _RATIONAL):
-            return None
-    return _common_denominator(coeffs)
+def _stored(num: list, den: int) -> tuple:
+    """The canonical ``(numerators, denominator)`` of the coefficients
+    num[i]/den, for int or polynomial numerators and a nonzero int ``den``
+    (positive when some numerator is a polynomial): ints over a positive
+    denominator with no common factor, or, when some coefficient is a
+    nonconstant polynomial, every coefficient as a polynomial over 1."""
+    if Polynomial in set(map(type, num)):
+        polys = [c if isinstance(c, Polynomial) else Polynomial([c]) for c in num]
+        if any(p.degree > 0 for p in polys):
+            if den != 1:
+                polys = [_polynomial(list(p._num), p._den * den) for p in polys]
+            return tuple(polys), 1
+        num, scale = _common_denominator([p.coefficient(0) for p in polys])
+        den *= scale
+    num, den = _canonical_row(num, den)
+    return tuple(num), den
 
 
 class TruncatedSeries:
@@ -70,10 +80,10 @@ class TruncatedSeries:
     stored.  Instances are immutable; all operations are pure.
     """
 
-    __slots__ = ("_coeffs", "_order")
+    __slots__ = ("_num", "_den", "_order")
 
     def __init__(self, coeffs: Iterable = (), order: int | None = None):
-        items = [_coerce(c) for c in coeffs]
+        items = [_split(c) for c in coeffs]
         if order is None:
             if not items:
                 raise ValueError("an empty coefficient list needs an explicit order")
@@ -81,17 +91,16 @@ class TruncatedSeries:
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
         del items[order + 1:]
-        zero = Fraction(0)
-        while len(items) < order + 1:
-            items.append(zero)
-        self._coeffs = tuple(items)
+        items += [(0, 1)] * (order + 1 - len(items))
+        den = lcm(*[d for _, d in items])
+        self._num, self._den = _stored([c if d == den else c * (den // d) for c, d in items], den)
         self._order = order
 
     @classmethod
-    def _make(cls, items: list, order: int) -> "TruncatedSeries":
-        # internal fast path: items already have length order + 1
+    def _make(cls, num: list, den: int, order: int) -> "TruncatedSeries":
+        # internal fast path: num already has length order + 1
         series = cls.__new__(cls)
-        series._coeffs = tuple(items)
+        series._num, series._den = _stored(num, den)
         series._order = order
         return series
 
@@ -113,17 +122,21 @@ class TruncatedSeries:
 
     @property
     def coefficients(self) -> tuple:
-        return self._coeffs
+        num, den = self._num, self._den
+        if isinstance(num[0], Polynomial):
+            return num
+        return tuple([Fraction(c, den) for c in num])
 
     def coefficient(self, k: int):
         if not 0 <= k <= self._order:
             raise ValueError(f"coefficient {k} is beyond truncation order {self._order}")
-        return self._coeffs[k]
+        c = self._num[k]
+        return c if isinstance(c, Polynomial) else Fraction(c, self._den)
 
     def valuation(self) -> int | None:
         """Order o(f): smallest k with nonzero coefficient; None if all
         stored coefficients vanish."""
-        for k, c in enumerate(self._coeffs):
+        for k, c in enumerate(self._num):
             if c:
                 return k
         return None
@@ -141,96 +154,83 @@ class TruncatedSeries:
             raise ValueError("cannot extend a series beyond its truncation order")
         if order == self._order:
             return self
-        return TruncatedSeries._make(list(self._coeffs[: order + 1]), order)
+        return TruncatedSeries._make(list(self._num[: order + 1]), self._den, order)
 
     def __add__(self, other):
+        # a/da + b/db over lcm(da, db), for a series or a constant b
         if isinstance(other, TruncatedSeries):
             n = min(self._order, other._order)
-            a, b = self._coeffs, other._coeffs
-            return TruncatedSeries._make([a[i] + b[i] for i in range(n + 1)], n)
-        out = list(self._coeffs)
-        out[0] = out[0] + _coerce(other)
-        return TruncatedSeries._make(out, self._order)
+            b, db = other._num[: n + 1], other._den
+        else:
+            n = self._order
+            w, db = _split(other)
+            b = (w,)
+        a, da = self._num[: n + 1], self._den
+        if da != db:
+            g = gcd(da, db)
+            sa, sb = db // g, da // g
+            a = [c * sa for c in a]
+            b = [c * sb for c in b]
+            da *= sa
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return TruncatedSeries._make(out, da, n)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries._make([-c for c in self._coeffs], self._order)
+        return TruncatedSeries._make([-c for c in self._num], self._den, self._order)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, TruncatedSeries) else -_coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        a = self._num
         if not isinstance(other, TruncatedSeries):
-            w = _coerce(other)
-            return TruncatedSeries._make([c * w for c in self._coeffs], self._order)
+            w, d = _split(other)
+            return TruncatedSeries._make([c * w for c in a], self._den * d, self._order)
         n = min(self._order, other._order)
-        a, b = self._coeffs[: n + 1], other._coeffs[: n + 1]
-        ints_a = _over_common_denominator(a)
-        ints_b = ints_a and _over_common_denominator(b)
-        if ints_b:
-            (a, da), (b, db) = ints_a, ints_b
-            den = da * db
-            return TruncatedSeries._make(
-                [Fraction(sum(map(mul, a[: i + 1], b[i::-1])), den) for i in range(n + 1)],
-                n,
-            )
-        out = []
-        for i in range(n + 1):
-            acc = 0
-            for j in range(i + 1):
-                aj = a[j]
-                if aj:
-                    bij = b[i - j]
-                    if bij:
-                        acc = acc + aj * bij
-            out.append(acc)
-        return TruncatedSeries._make(out, n)
+        b = other._num
+        return TruncatedSeries._make(
+            [sum(map(mul, a[: i + 1], b[i::-1])) for i in range(n + 1)],
+            self._den * other._den,
+            n,
+        )
 
     __rmul__ = __mul__
 
     def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse; requires an invertible constant term."""
-        c0 = self._coeffs[0]
-        if not c0:
+        """Multiplicative inverse of a rational series; requires a nonzero
+        constant term."""
+        # a = A/d with integer A: 1/a = (d/A_0) u, where u = 1/(A/A_0) has
+        # u_0 = 1 and u_k = -sum_{j=1..k} A_j u_{k-j} / A_0.  The u_k are
+        # kept as numerators U_k over one running denominator E; a new
+        # u_k = s/(A_0 E) is reduced by g = gcd(s, A_0), so E gains the
+        # factor A_0/g per step, not A_0
+        a = self._num
+        a0 = a[0]
+        if not a0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
-        ints = _over_common_denominator(self._coeffs)
-        if ints:
-            # a = A/d with integer A: 1/a = (d/A_0) u, where u = 1/(A/A_0)
-            # has u_0 = 1 and u_k = -sum_{j=1..k} A_j u_{k-j} / A_0.  The u_k
-            # are kept as numerators U_k over one running denominator E; a
-            # new u_k = s/(A_0 E) is reduced by g = gcd(s, A_0), so E gains
-            # the factor A_0/g per step, not A_0
-            a, d = ints
-            a0 = a[0]
-            nums = [1]
-            den = 1
-            for k in range(1, self._order + 1):
-                s = -sum(map(mul, a[1: k + 1], reversed(nums)))
-                g = gcd(s, a0)
-                m = a0 // g
-                if m < 0:
-                    m, s = -m, -s
-                if m != 1:
-                    nums = [c * m for c in nums]
-                    den *= m
-                nums.append(s // g)
-            scale = den * a0
-            return TruncatedSeries._make([Fraction(d * c, scale) for c in nums], self._order)
-        b0 = 1 / c0
-        out = [b0]
-        a = self._coeffs
+        if isinstance(a0, Polynomial):
+            raise TypeError("only a series with rational coefficients can be inverted")
+        nums = [1]
+        den = 1
         for k in range(1, self._order + 1):
-            acc = 0
-            for j in range(1, k + 1):
-                aj = a[j]
-                if aj:
-                    acc = acc + aj * out[k - j]
-            out.append(-(b0 * acc))
-        return TruncatedSeries._make(out, self._order)
+            s = -sum(map(mul, a[1: k + 1], reversed(nums)))
+            g = gcd(s, a0)
+            m = a0 // g
+            if m < 0:
+                m, s = -m, -s
+            if m != 1:
+                nums = [c * m for c in nums]
+                den *= m
+            nums.append(s // g)
+        d = self._den
+        return TruncatedSeries._make([d * c for c in nums], den * a0, self._order)
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if not isinstance(exponent, int):
@@ -239,29 +239,32 @@ class TruncatedSeries:
         return _power(base, abs(exponent), TruncatedSeries.constant(Fraction(1), self._order))
 
     def _is_identity(self) -> bool:
+        num = self._num
         return (
             self._order >= 1
-            and self._coeffs[1] == 1
-            and all(not c for i, c in enumerate(self._coeffs) if i != 1)
+            and self._den == 1
+            and num[1] == 1
+            and all(not c for i, c in enumerate(num) if i != 1)
         )
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(t)); the inner series must have zero constant term."""
         if not isinstance(inner, TruncatedSeries):
             raise TypeError("composition requires another series")
-        if inner._coeffs[0]:
+        if inner._num[0]:
             raise ValueError("composition requires the inner series to have zero constant term")
         n = min(self._order, inner._order)
         if inner._is_identity():
             return self.truncate(n)
         inner_n = inner.truncate(n)
-        acc = TruncatedSeries.constant(self._coeffs[n], n)
+        # Horner on the numerators A_k of self = A/d, with 1/d applied once
+        num = self._num
+        acc = TruncatedSeries.constant(num[n], n)
         for k in range(n - 1, -1, -1):
             acc = acc * inner_n
-            ck = self._coeffs[k]
-            if ck:
-                acc = acc + ck
-        return acc
+            if num[k]:
+                acc = acc + num[k]
+        return TruncatedSeries._make(list(acc._num), acc._den * self._den, n)
 
     def comp_inverse(self) -> "TruncatedSeries":
         """Compositional inverse g with self(g(t)) = t up to order N.
@@ -273,7 +276,7 @@ class TruncatedSeries:
             raise ValueError("compositional inverse requires a delta series")
         if self._is_identity():
             return self
-        b1 = 1 / self._coeffs[1]
+        b1 = 1 / self.coefficient(1)
         n = self._order
         out = [Fraction(0), b1] + [Fraction(0)] * (n - 1)
         for k in range(2, n + 1):
@@ -287,28 +290,28 @@ class TruncatedSeries:
         if self._order < 1:
             raise ValueError("cannot differentiate a series of order 0")
         return TruncatedSeries._make(
-            [k * self._coeffs[k] for k in range(1, self._order + 1)], self._order - 1
+            [k * c for k, c in enumerate(self._num) if k], self._den, self._order - 1
         )
 
     def divide_by_t(self) -> "TruncatedSeries":
         """Shift coefficients down one power of t; requires zero constant
         term; the truncation order drops by one."""
-        if self._coeffs[0]:
+        if self._num[0]:
             raise ValueError("cannot divide by t: nonzero constant term")
         if self._order < 1:
             raise ValueError("cannot divide a series of order 0 by t")
-        return TruncatedSeries._make(list(self._coeffs[1:]), self._order - 1)
+        return TruncatedSeries._make(list(self._num[1:]), self._den, self._order - 1)
 
     def __eq__(self, other):
         if isinstance(other, TruncatedSeries):
-            return self._order == other._order and self._coeffs == other._coeffs
+            return (self._order, self._den, self._num) == (other._order, other._den, other._num)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self._order, self._coeffs))
+        return hash((self._order, self._num, self._den))
 
     def __repr__(self):
-        shown = ", ".join(str(c) for c in self._coeffs[:6])
+        shown = ", ".join(str(c) for c in self.coefficients[:6])
         if self._order >= 6:
             shown += ", ..."
         return f"TruncatedSeries([{shown}], order={self._order})"

@@ -7,16 +7,17 @@ functional object, so the pairing is plain coefficient contraction.
 Acting with f(t) as an operator sends p(x) to sum a_k p^(k)(x).
 
 The two routes to connection constants run on integer numerators over
-one common denominator.  The pairing route brings the prefactor and
-l(fbar) to integers once and builds each power by integer convolution, or
-by a plain shift when l(fbar) is the series t (Appell targets).  The
-solve route inverts a triangular basis once, `monomial_expansion`, so
-that expressing any polynomial in it is one integer row-times-matrix
-product.  Over the pairing core, `connection_constants` makes one
-`Fraction` per constant for the command line, and `connection_rows` (one
-source, many targets) gives each row as a canonical ``(numerators,
-denominator)`` pair; `solve_rows` gives the solve route's rows in the same
-form, so the ``bases`` verifier compares rows as pairs.
+one common denominator.  The pairing route reads the stored integer
+numerators of the prefactor and l(fbar) and builds each power by integer
+convolution, or by a plain shift when l(fbar) is the series t (Appell
+targets).  The solve route inverts a triangular basis once,
+`monomial_expansion`, so that expressing any polynomial in it is one
+integer row-times-matrix product.  Over the pairing core,
+`connection_constants` makes one `Fraction` per constant for the command
+line, and `connection_rows` (one source, many targets) gives each row as
+a canonical ``(numerators, denominator)`` pair; `solve_rows` gives the
+solve route's rows in the same form, so the ``bases`` verifier compares
+rows as pairs.
 Only the row representation is shared: the pairing route reads only
 the two Sheffer pairs and the solve route only the integer numerators of
 the polynomials and the basis.  Neither calls the other or any
@@ -36,7 +37,7 @@ from fractions import Fraction
 from math import factorial, lcm, perm
 from operator import mul
 
-from .polynomials import Polynomial, X, _canonical_row, _common_denominator
+from .polynomials import Polynomial, X, _canonical_row
 from .series import TruncatedSeries, exp_series
 
 __all__ = [
@@ -230,10 +231,10 @@ def _pairing_columns(source: ShefferPair, targets, n_max: int):
     for target in targets:
         prefactor = target.g.compose(fbar) * inverse
         ell = target.f.compose(fbar)
-        power, den = _common_denominator(prefactor.coefficients[:size])
+        power, den = list(prefactor._num[:size]), prefactor._den
         is_shift = ell._is_identity()
         if not is_shift:
-            ell_num, ell_den = _common_denominator(ell.coefficients[:size])
+            ell_num, ell_den = ell._num, ell._den
         columns = [(power, den)]
         for m in range(n_max):
             if is_shift:

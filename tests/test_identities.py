@@ -501,6 +501,29 @@ def test_benchmark_verifier_list_matches_the_table():
     assert workloads.TARGETS == tuple(TARGETS)
 
 
+def test_query_mix_output_matches_the_recorded_digest():
+    # the benchmark fails a query-mix pass whose output differs by one byte
+    # from perfbench/digests.json; replay mix 0 in-process and digest it
+    # the way perfbench/run.pass_digest does, so a change to any table,
+    # evaluation or connection constant the CLI prints fails here first
+    import hashlib
+    import io
+    from contextlib import redirect_stdout
+    from pathlib import Path
+
+    from umbralcalc import cli
+
+    lines = []
+    for argv in _load_workloads().query_requests(0):
+        buffer = io.StringIO()
+        with redirect_stdout(buffer):
+            code = cli.main(list(argv))
+        lines.append(f"{code} {hashlib.sha256(buffer.getvalue().encode()).hexdigest()}\n")
+    digests = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
+    recorded = json.loads(digests.read_text())["0"]
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == recorded
+
+
 @pytest.mark.parametrize(
     "n_min, n_max", [(0, 3), (1, 3), (0, 1)], ids=["from-0", "from-1", "thm4-vacuous"]
 )

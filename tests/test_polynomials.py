@@ -91,11 +91,6 @@ def test_scalar_interop():
     assert p - 1 == X
     assert 1 - X == Polynomial([1, -1])
     assert (2 * p) / 2 == p
-    assert 1 / Polynomial([4]) == Fraction(1, 4)
-    with pytest.raises(ValueError):
-        1 / (X + 1)
-    with pytest.raises(ZeroDivisionError):
-        1 / Polynomial()
 
 
 def test_constant_equality_and_hash():
