@@ -20,11 +20,11 @@ DEMO = [
 ]
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-max", type=int, default=8)
     parser.add_argument("--out", default="tables")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     os.makedirs(args.out, exist_ok=True)
     for family, params in DEMO:

@@ -8,9 +8,14 @@ byte-deterministic for a fixed invocation.  Exit status: 0 on success
 counterexample, 2 for usage or parameter errors and for an output path
 that cannot be written.
 
+Each command computes its values once and renders every output line
+from them, calling only the renderer of the requested format: a json/csv
+row per degree, or a LaTeX line.
+
 Values starting with a dash (negative rationals, negative sets) are
 accepted both space-separated and in the equals form, e.g.
-``--lambda -3/5`` or ``--lambda-set=-1,2,1/2``.
+``--lambda -3/5`` or ``--lambda-set=-1,2,1/2``: the parser class of the
+command and of every subcommand reads them as values, not as flags.
 """
 
 from __future__ import annotations
@@ -42,7 +47,9 @@ from .umbral import connection_constants
 FORMATS = ("json", "csv", "latex")
 IDENTITIES = tuple(VERIFIERS) + ("all",)
 
-ROW_FIELDS = ("family", "n", "r", "k", "s", "lambda", "mu", "coefficients")
+#: The parameter columns of a json/csv row, each with the argument it shows.
+_PARAMS = {"r": "r", "k": "k", "s": "s", "lambda": "lam", "mu": "mu"}
+ROW_FIELDS = ("family", "n", *_PARAMS, "coefficients")
 
 
 class CliError(Exception):
@@ -73,8 +80,6 @@ def _int_set(text: str) -> tuple:
         values = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("empty set")
     return values
 
 
@@ -83,16 +88,13 @@ def _rational_set(text: str) -> tuple:
         values = tuple(parse_rational(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-    if not values:
-        raise argparse.ArgumentTypeError("empty set")
     return values
 
 
 # ---------------------------------------------------------------------------
 # LaTeX rendering
 
-def latex_rational(value) -> str:
-    q = Fraction(value)
+def latex_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     sign = "-" if q < 0 else ""
@@ -134,13 +136,17 @@ def _rows_to_csv(rows, fields) -> str:
     return buffer.getvalue()
 
 
-def _emit_rows(rows, args, fields, latex_line) -> int:
+def _emit_rows(args, count: int, fields, row, latex_line) -> int:
+    """Write the lines of degrees 0..count-1 in the requested format:
+    ``row(n)``, a dict over ``fields``, for json and csv, or the string
+    ``latex_line(n)`` for latex."""
+    degrees = range(count)
     if args.format == "json":
-        text = "".join(json.dumps(row) + "\n" for row in rows)
+        text = "".join(json.dumps(row(n)) + "\n" for n in degrees)
     elif args.format == "csv":
-        text = _rows_to_csv(rows, fields)
+        text = _rows_to_csv(map(row, degrees), fields)
     else:
-        text = "".join(latex_line(row) + "\n" for row in rows)
+        text = "".join(latex_line(n) + "\n" for n in degrees)
     _write_text(text, args.output)
     return 0
 
@@ -198,24 +204,15 @@ def _family_polys(args, n_max: int) -> list:
     return family_polys(args.family, n_max, *[getattr(args, name) for name in family.needs])
 
 
-def _param_cell(args, name):
-    value = getattr(args, name)
-    if value is None:
-        return None
-    return str(value) if isinstance(value, Fraction) else value
-
-
-def _family_row(args, n: int, coefficients: list) -> dict:
-    return {
-        "family": args.family,
-        "n": n,
-        "r": _param_cell(args, "r"),
-        "k": _param_cell(args, "k"),
-        "s": _param_cell(args, "s"),
-        "lambda": _param_cell(args, "lam"),
-        "mu": None,
-        "coefficients": coefficients,
-    }
+def _param_cells(args) -> dict:
+    """The parameter cells of a json/csv row: an int as it is, a rational
+    as "p/q", and None for a parameter that was not given or that the
+    command does not take."""
+    cells = {}
+    for field, name in _PARAMS.items():
+        value = getattr(args, name, None)
+        cells[field] = str(value) if isinstance(value, Fraction) else value
+    return cells
 
 
 def _run_table(args) -> int:
@@ -223,30 +220,28 @@ def _run_table(args) -> int:
         raise CliError("--n-max must be nonnegative")
     if args.family == "stirling2":
         triangle = stirling2_triangle(args.n_max)
-        rows = [
-            _family_row(args, n, [str(v) for v in triangle[n]])
-            for n in range(args.n_max + 1)
-        ]
 
-        def latex_line(row):
-            return (
-                f"S_2({row['n']}, \\cdot) = "
-                f"\\left[{', '.join(row['coefficients'])}\\right]"
-            )
+        def cells(n):
+            return [str(v) for v in triangle[n]]
 
-        return _emit_rows(rows, args, ROW_FIELDS, latex_line)
+        def latex_line(n):
+            return f"S_2({n}, \\cdot) = \\left[{', '.join(cells(n))}\\right]"
+    else:
+        polys = _family_polys(args, args.n_max)
+        label = POLY_FAMILIES[args.family].label
 
-    polys = _family_polys(args, args.n_max)
-    rows = [
-        _family_row(args, n, [str(c) for c in polys[n].coefficients])
-        for n in range(args.n_max + 1)
-    ]
+        def cells(n):
+            return [str(c) for c in polys[n].coefficients]
 
-    def latex_line(row):
-        label = POLY_FAMILIES[args.family].label(args, row["n"])
-        return f"{label} = {latex_polynomial(polys[row['n']])}"
+        def latex_line(n):
+            return f"{label(args, n)} = {latex_polynomial(polys[n])}"
 
-    return _emit_rows(rows, args, ROW_FIELDS, latex_line)
+    params = _param_cells(args)
+
+    def row(n):
+        return {"family": args.family, "n": n, **params, "coefficients": cells(n)}
+
+    return _emit_rows(args, args.n_max + 1, ROW_FIELDS, row, latex_line)
 
 
 def _run_eval(args) -> int:
@@ -272,49 +267,31 @@ def _run_bases(args) -> int:
     order = max(args.n_max, 1)
     source = appell_pair(mixed_kernel(args.r, args.k, args.lam, order))
     constants = connection_constants(source, target.pair(args.s, args.mu, order), args.n_max)
-    rows = []
-    for n in range(args.n_max + 1):
-        rows.append(
-            {
-                "target": target_name,
-                "n": n,
-                "r": args.r,
-                "k": args.k,
-                "s": args.s,
-                "lambda": str(args.lam),
-                "mu": None if args.mu is None else str(args.mu),
-                "constants": [str(c) for c in constants[n]],
-            }
-        )
+    params = _param_cells(args)
 
-    fields = ("target", "n", "r", "k", "s", "lambda", "mu", "constants")
+    def row(n):
+        return {"target": target_name, "n": n, **params,
+                "constants": [str(c) for c in constants[n]]}
 
-    def latex_line(row):
-        rendered = ", ".join(latex_rational(Fraction(c)) for c in row["constants"])
-        return f"C_{{{row['n']},\\cdot}} = \\left[{rendered}\\right]"
+    def latex_line(n):
+        rendered = ", ".join(map(latex_rational, constants[n]))
+        return f"C_{{{n},\\cdot}} = \\left[{rendered}\\right]"
 
-    return _emit_rows(rows, args, fields, latex_line)
+    fields = ("target", "n", *_PARAMS, "constants")
+    return _emit_rows(args, args.n_max + 1, fields, row, latex_line)
 
 
 # ---------------------------------------------------------------------------
 # verify
 
+#: The sweep axes that verify's --r-set .. --mu-set options set.
+_AXES = ("r_values", "k_values", "s_values", "lambda_values", "mu_values")
+
+
 def _build_grid(args, n_min: int) -> SweepGrid:
-    kwargs = {
-        "n_min": n_min,
-        "n_max": DEFAULT_GRID.n_max if args.n_max is None else args.n_max,
-    }
-    if args.r_set is not None:
-        kwargs["r_values"] = args.r_set
-    if args.k_set is not None:
-        kwargs["k_values"] = args.k_set
-    if args.s_set is not None:
-        kwargs["s_values"] = args.s_set
-    if args.lambda_set is not None:
-        kwargs["lambda_values"] = args.lambda_set
-    if args.mu_set is not None:
-        kwargs["mu_values"] = args.mu_set
-    return replace(DEFAULT_GRID, **kwargs)
+    axes = {axis: getattr(args, axis) for axis in _AXES if getattr(args, axis) is not None}
+    n_max = DEFAULT_GRID.n_max if args.n_max is None else args.n_max
+    return replace(DEFAULT_GRID, n_min=n_min, n_max=n_max, **axes)
 
 
 def _run_verify(args) -> int:
@@ -354,17 +331,16 @@ def _run_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-#: argparse only treats plain negative integers/decimals as values rather
-#: than flags; widen that to negative rationals ("-3/5") and negative
-#: rational sets ("-1,2,1/2") so they work without the equals form.
-_NEGATIVE_VALUE = re.compile(r"^-\d+(/\d+)?([,-].*)?$|^-\d*\.\d+$")
+class _Parser(argparse.ArgumentParser):
+    """argparse only treats plain negative integers/decimals as values
+    rather than flags; this parser widens that to negative rationals
+    ("-3/5") and negative rational sets ("-1,2,1/2"), so they work without
+    the equals form.  `add_subparsers` makes every subcommand's parser of
+    the same class."""
 
-
-def _allow_negative_values(parser):
-    try:
-        parser._negative_number_matcher = _NEGATIVE_VALUE
-    except AttributeError:  # private API moved; "--flag=-3/5" still works
-        pass
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?([,-].*)?$|^-\d*\.\d+$")
 
 
 def _add_output_options(parser, with_format=True):
@@ -386,24 +362,21 @@ def _add_family_options(parser):
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="umbralcalc",
         description="Exact tables, evaluations, connection constants, and "
         "identity verification for the Frobenius-Euler / poly-Bernoulli "
         "polynomial families.",
     )
-    _allow_negative_values(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
     table = sub.add_parser("table", help="emit a family coefficient table")
-    _allow_negative_values(table)
     _add_family_options(table)
     table.add_argument("--n-max", type=int, required=True, help="largest degree")
     _add_output_options(table)
     table.set_defaults(handler=_run_table)
 
     evaluate = sub.add_parser("eval", help="evaluate one family polynomial at a point")
-    _allow_negative_values(evaluate)
     _add_family_options(evaluate)
     evaluate.add_argument("--n", type=int, required=True, help="degree")
     evaluate.add_argument("--at", type=_rational, required=True, metavar="RAT",
@@ -421,17 +394,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "--n-min explicitly is an error for those ids, while 'all' clamps "
         "each verifier to its stated domain.",
     )
-    _allow_negative_values(verify)
     verify.add_argument("identity", choices=IDENTITIES)
     verify.add_argument("--n-min", type=int, default=None)
     verify.add_argument("--n-max", type=int, default=None)
-    verify.add_argument("--r-set", type=_int_set, default=None, metavar="INTS",
+    verify.add_argument("--r-set", dest="r_values", type=_int_set, default=None, metavar="INTS",
                         help="comma-separated, e.g. --r-set=-2,-1,0,1")
-    verify.add_argument("--k-set", type=_int_set, default=None, metavar="INTS")
-    verify.add_argument("--s-set", type=_int_set, default=None, metavar="INTS")
-    verify.add_argument("--lambda-set", type=_rational_set, default=None, metavar="RATS",
+    verify.add_argument("--k-set", dest="k_values", type=_int_set, default=None, metavar="INTS")
+    verify.add_argument("--s-set", dest="s_values", type=_int_set, default=None, metavar="INTS")
+    verify.add_argument("--lambda-set", dest="lambda_values", type=_rational_set, default=None,
+                        metavar="RATS",
                         help="comma-separated rationals, e.g. --lambda-set=-1,2,1/2")
-    verify.add_argument("--mu-set", type=_rational_set, default=None, metavar="RATS")
+    verify.add_argument("--mu-set", dest="mu_values", type=_rational_set, default=None,
+                        metavar="RATS")
     verify.add_argument("--collect-all", action="store_true",
                         help="keep scanning after a failure and report every counterexample")
     verify.add_argument("--jobs", type=int, default=1,
@@ -443,7 +417,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "bases",
         help="emit connection constants of the mixed family in a target basis",
     )
-    _allow_negative_values(bases)
     bases.add_argument("--target", choices=TARGETS, required=True)
     bases.add_argument("--n-max", type=int, required=True)
     bases.add_argument("--r", type=int, required=True)

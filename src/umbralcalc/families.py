@@ -141,18 +141,12 @@ _memoised = lru_cache(maxsize=None, typed=True)
 
 def exp_minus_one(order: int) -> TruncatedSeries:
     """e^t - 1."""
-    return TruncatedSeries(
-        [Fraction(0)] + [Fraction(1, factorial(j)) for j in range(1, order + 1)], order
-    )
+    return exp_series(1, order) - 1
 
 
 def one_minus_exp_neg(order: int) -> TruncatedSeries:
     """1 - e^{-t}."""
-    return TruncatedSeries(
-        [Fraction(0)]
-        + [Fraction((-1) ** (j + 1), factorial(j)) for j in range(1, order + 1)],
-        order,
-    )
+    return 1 - exp_series(-1, order)
 
 
 @_memoised

@@ -2,7 +2,9 @@
 
 Scalars are `fractions.Fraction` throughout the public interface, which
 already maintains the canonical form this library relies on (positive
-denominator, reduced to lowest terms, zero as 0/1).
+denominator, reduced to lowest terms, zero as 0/1).  A coefficient, an
+evaluation point or a shift must be an exact rational: an inexact number
+(a float, complex or Decimal) raises TypeError, here and in `series`.
 
 A polynomial is stored fraction-free, in the layout of FLINT's
 ``fmpq_poly``: a tuple of integer numerators, lowest power first, over one
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd, lcm
+from numbers import Rational
 from operator import mul
 from typing import Iterable, Union
 
@@ -42,6 +45,18 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
+
+
+def _exact(value) -> Scalar:
+    """``value`` itself when it is an int or a `Fraction`, another exact
+    rational as a `Fraction`; anything else, an inexact number (a float,
+    complex or Decimal) included, raises TypeError.  This is the one
+    exactness check of polynomials and series."""
+    if isinstance(value, _RATIONAL):
+        return value
+    if isinstance(value, Rational):
+        return Fraction(int(value.numerator), int(value.denominator))
+    raise TypeError(f"coefficients and scalars must be exact rationals, not {value!r}")
 
 
 def _common_denominator(values) -> tuple:
@@ -173,7 +188,7 @@ class Polynomial:
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         self._num, self._den = _normalised(
-            *_common_denominator([c if isinstance(c, _RATIONAL) else Fraction(c) for c in coeffs])
+            *_common_denominator([c if isinstance(c, _RATIONAL) else _exact(c) for c in coeffs])
         )
 
     @classmethod
@@ -203,10 +218,10 @@ class Polynomial:
     def __call__(self, point: Scalar) -> Fraction:
         """Evaluate at an exact rational point (Horner over the integers:
         p(u/v) = (sum_i num_i u^i v^(deg-i)) / (v^deg den))."""
+        point = _exact(point)
         num = self._num
         if not num:
             return Fraction(0)
-        point = Fraction(point)
         u, v = point.numerator, point.denominator
         acc = num[-1]
         scale = 1
@@ -218,7 +233,7 @@ class Polynomial:
     def shift(self, offset: Scalar) -> "Polynomial":
         """Return p(x + offset), computed by binomial expansion scaled by
         v^deg for offset = u/v."""
-        c = Fraction(offset)
+        c = _exact(offset)
         num = self._num
         if not c or not num:
             return self

@@ -32,11 +32,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from numbers import Rational
 from operator import mul
 from typing import Iterable
 
-from .polynomials import Polynomial, _canonical_row, _common_denominator, _power
+from .polynomials import Polynomial, _canonical_row, _common_denominator, _exact, _power
 from .polynomials import _make as _polynomial
 
 __all__ = ["TruncatedSeries", "exp_series"]
@@ -44,15 +43,12 @@ __all__ = ["TruncatedSeries", "exp_series"]
 
 def _split(value) -> tuple:
     """(numerator, denominator) of a coefficient or scalar: two ints for
-    a rational, the polynomial itself over 1; anything else raises
-    TypeError."""
+    an exact rational, the polynomial itself over 1; anything else raises
+    TypeError (`polynomials._exact`)."""
     if isinstance(value, Polynomial):
         return value, 1
-    if isinstance(value, Rational):
-        return int(value.numerator), int(value.denominator)
-    raise TypeError(
-        f"series coefficients must be exact rationals or polynomials, not {value!r}"
-    )
+    value = _exact(value)
+    return value.numerator, value.denominator
 
 
 def _stored(num: list, den: int) -> tuple:
@@ -321,12 +317,14 @@ def exp_series(scale, order: int) -> TruncatedSeries:
     """The exponential sum_{k<=N} scale^k t^k / k!.
 
     ``scale`` may be rational or a polynomial (giving the two-variable
-    series e^{x t} when scale is the polynomial x).
+    series e^{x t} when scale is the polynomial x).  For scale = w/d the
+    t^k coefficient is w^k d^(N-k) (N!/k!) over the one denominator
+    d^N N!.
     """
-    coeffs = []
-    acc = Fraction(1)
+    w, d = _split(scale)
+    num, power, ratio = [], 1, factorial(order)
     for k in range(order + 1):
-        coeffs.append(acc / factorial(k))
+        num.append(power * (ratio * d ** (order - k)))
         if k < order:
-            acc = acc * scale
-    return TruncatedSeries(coeffs, order)
+            power, ratio = power * w, ratio // (k + 1)
+    return TruncatedSeries._make(num, d**order * factorial(order), order)

@@ -331,6 +331,100 @@ def test_bases_low_degrees_match_recorded_output(target, capsys):
         assert capsys.readouterr().out == expected
 
 
+#: The stdout of latex and csv requests, recorded when every format was
+#: rendered from json row strings; each command renders it from its values.
+RENDERED_OUTPUT = {
+    ("bases", "bernoulli", "latex"): (
+        "C_{0,\\cdot} = \\left[1\\right]\n"
+        "C_{1,\\cdot} = \\left[\\frac{45}{8}, 1\\right]\n"
+        "C_{2,\\cdot} = \\left[\\frac{721}{24}, \\frac{45}{4}, 1\\right]\n"
+    ),
+    ("bases", "bernoulli", "csv"): (
+        "target,n,r,k,s,lambda,mu,constants\n"
+        "bernoulli,0,-1,-2,2,-3/5,,1\n"
+        "bernoulli,1,-1,-2,2,-3/5,,45/8;1\n"
+        "bernoulli,2,-1,-2,2,-3/5,,721/24;45/4;1\n"
+    ),
+    ("bases", "falling", "latex"): (
+        "C_{0,\\cdot} = \\left[1\\right]\n"
+        "C_{1,\\cdot} = \\left[\\frac{37}{8}, 1\\right]\n"
+        "C_{2,\\cdot} = \\left[\\frac{157}{8}, \\frac{41}{4}, 1\\right]\n"
+    ),
+    ("bases", "falling", "csv"): (
+        "target,n,r,k,s,lambda,mu,constants\n"
+        "falling,0,-1,-2,2,-3/5,,1\n"
+        "falling,1,-1,-2,2,-3/5,,37/8;1\n"
+        "falling,2,-1,-2,2,-3/5,,157/8;41/4;1\n"
+    ),
+    ("table", "stirling2", "latex"): (
+        "S_2(0, \\cdot) = \\left[1\\right]\n"
+        "S_2(1, \\cdot) = \\left[0, 1\\right]\n"
+        "S_2(2, \\cdot) = \\left[0, 1, 1\\right]\n"
+        "S_2(3, \\cdot) = \\left[0, 1, 3, 1\\right]\n"
+    ),
+    ("table", "stirling2", "csv"): (
+        "family,n,r,k,s,lambda,mu,coefficients\n"
+        "stirling2,0,,,,,,1\n"
+        "stirling2,1,,,,,,0;1\n"
+        "stirling2,2,,,,,,0;1;1\n"
+        "stirling2,3,,,,,,0;1;3;1\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command, name, fmt", sorted(RENDERED_OUTPUT))
+def test_latex_and_csv_output_match_recorded_bytes(command, name, fmt, capsys):
+    if command == "bases":
+        argv = ["bases", "--target", name, "--n-max", "2",
+                "--r", "-1", "--k", "-2", "--lambda", "-3/5", "--s", "2"]
+    else:
+        argv = ["table", "--family", name, "--n-max", "3"]
+    assert main(argv + ["--format", fmt]) == 0
+    assert capsys.readouterr().out == RENDERED_OUTPUT[command, name, fmt]
+
+
+def test_verify_sets_accepted_space_separated(capsys):
+    outputs = []
+    for sets in (["--r-set", "-2,-1", "--lambda-set", "-1,2,1/2"],
+                 ["--r-set=-2,-1", "--lambda-set=-1,2,1/2"]):
+        assert main(["verify", "thm3", "--n-max", "2", "--k-set", "1,-1", *sets]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["grid"]["lambda"] == ["-1", "2", "1/2"]
+
+
+#: The first line of each file that scripts/generate_tables.py writes.
+TABLE_FILE_HEADS = {
+    "bernoulli.jsonl": '{"family": "bernoulli", "n": 0, "r": null, "k": null, "s": 2, '
+                       '"lambda": null, "mu": null, "coefficients": ["1"]}',
+    "bernoulli.tex": "\\mathbb{B}^{(2)}_{0}(x) = 1",
+    "euler.jsonl": '{"family": "euler", "n": 0, "r": null, "k": null, "s": 2, '
+                   '"lambda": null, "mu": null, "coefficients": ["1"]}',
+    "euler.tex": "E^{(2)}_{0}(x) = 1",
+    "frobenius-euler.jsonl": '{"family": "frobenius-euler", "n": 0, "r": 2, "k": null, '
+                             '"s": null, "lambda": "-3/5", "mu": null, "coefficients": ["1"]}',
+    "frobenius-euler.tex": "H^{(2)}_{0}(x \\mid -\\frac{3}{5}) = 1",
+    "mixed-T.jsonl": '{"family": "mixed-T", "n": 0, "r": 1, "k": 2, "s": null, '
+                     '"lambda": "2", "mu": null, "coefficients": ["1"]}',
+    "mixed-T.tex": "T^{(1,2)}_{0}(x \\mid 2) = 1",
+    "poly-bernoulli.jsonl": '{"family": "poly-bernoulli", "n": 0, "r": null, "k": -2, '
+                            '"s": null, "lambda": null, "mu": null, "coefficients": ["1"]}',
+    "poly-bernoulli.tex": "B^{(-2)}_{0}(x) = 1",
+    "stirling2.jsonl": '{"family": "stirling2", "n": 0, "r": null, "k": null, "s": null, '
+                       '"lambda": null, "mu": null, "coefficients": ["1"]}',
+    "stirling2.tex": "S_2(0, \\cdot) = \\left[1\\right]",
+}
+
+
+def test_generate_tables_script_writes_every_family(tables_script, tmp_path, capsys):
+    assert tables_script.main(["--n-max", "2", "--out", str(tmp_path)]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(TABLE_FILE_HEADS)
+    for name, head in TABLE_FILE_HEADS.items():
+        lines = (tmp_path / name).read_text().splitlines()
+        assert len(lines) == 3 and lines[0] == head
+    assert capsys.readouterr().out.count("wrote ") == 12
+
+
 def test_verify_bases_degree_zero(capsys):
     argv = ["verify", "bases", "--n-max", "0", "--r-set=1", "--k-set=2",
             "--lambda-set=2", "--s-set=1", "--mu-set=3"]

@@ -112,6 +112,99 @@ def test_stirling_triangle_matches_sympy():
             assert triangle[n][m] == int(stirling(n, m))
 
 
+# --- the mixed family in sympy's ring QQ[u, r, x] -----------------------------
+
+ORACLE_N = 8
+
+
+def _mixed_family_oracle(k_values, n_max):
+    """n! [t^n] of the Frobenius-Euler kernel times e^{xt} (H_n^{(r)}(x|lambda))
+    and of the mixed kernel times e^{xt} (T_n^{(r,k)}(x|lambda), one list per
+    k), for n <= n_max, as polynomials in sympy's sparse ring QQ[u, r, x]
+    with u = 1/(1 - lambda); t-series are lists truncated by hand.
+
+    With e^t - lambda = (1 - lambda)(1 + u(e^t - 1)),
+
+        ((1 - lambda)/(e^t - lambda))^r = (1 + u(e^t - 1))^{-r}
+                                        = sum_j binom(-r, j) u^j (e^t - 1)^j,
+
+    and Li_k(y)/y = sum_{j>=1} j^{-k} y^{j-1} with y = 1 - e^{-t}.
+
+    Degrees: (e^t - 1)^j = O(t^j), so the t^m coefficient of the first
+    factor has degree <= m in u and <= m in r (binom(-r, j) has degree j
+    in r), and the other factors hold neither u nor r.  Since
+    T_n = sum_l binom(n, l) H_{n-l} PB_l(x), H_n and T_n have degree <= n
+    in u and in r.  So a residual of an identity in T_n vanishes for every
+    lambda != 1 and every integer r once it vanishes on n + 1 distinct
+    lambda times n + 1 integer r (tensor-grid polynomial identity
+    testing)."""
+    from sympy import QQ
+    from sympy.polys.rings import ring
+
+    R, u, r, x = ring("u,r,x", QQ)
+    size = n_max + 1
+
+    def mul(a, b):
+        return [sum((a[i] * b[m - i] for i in range(m + 1)), R.zero) for m in range(size)]
+
+    exp_minus_one = [R.zero] + [R(QQ(1, factorial(m))) for m in range(1, size)]
+    y = [R.zero] + [R(QQ((-1) ** (m + 1), factorial(m))) for m in range(1, size)]
+    exp_xt = [x**m * QQ(1, factorial(m)) for m in range(size)]
+
+    frobenius = [R.one] + [R.zero] * n_max
+    power, binomial = list(frobenius), R.one
+    for j in range(1, size):
+        power = mul(power, exp_minus_one)
+        binomial = binomial * (-r - (j - 1)) * QQ(1, j)
+        frobenius = [f + binomial * u**j * p for f, p in zip(frobenius, power)]
+    h_series = mul(frobenius, exp_xt)
+
+    def polylog_quotient(k):
+        total, power = [R.zero] * size, [R.one] + [R.zero] * n_max
+        for j in range(1, size + 1):
+            weight = QQ(j) ** -k
+            total = [c + weight * p for c, p in zip(total, power)]
+            power = mul(power, y)
+        return total
+
+    def polys(t_series):
+        return [t_series[n] * factorial(n) for n in range(size)]
+
+    mixed = {k: polys(mul(polylog_quotient(k), h_series)) for k in k_values}
+    return (u, r), polys(h_series), mixed
+
+
+def _at(poly, u, r, lam, r_value):
+    """The coefficients in x of ``poly`` at u = 1/(1 - lam) and r = r_value."""
+    from sympy import QQ
+
+    u_value = 1 / (1 - lam)
+    value = poly.subs([(u, QQ(u_value.numerator, u_value.denominator)), (r, r_value)])
+    coefficients = {monom[2]: Fraction(int(c.numerator), int(c.denominator))
+                    for monom, c in value.items()}
+    return ref_trim(coefficients.get(i, 0) for i in range(max(coefficients, default=-1) + 1))
+
+
+def test_mixed_and_frobenius_euler_families_match_a_sympy_ring_oracle():
+    pytest.importorskip("sympy")
+    k_values = (-3, -2, 1, 2, 3)
+    (u, r), frobenius, mixed = _mixed_family_oracle(k_values, ORACLE_N)
+    for n, poly in enumerate(frobenius):
+        assert poly.degree(u) <= n and poly.degree(r) <= n
+    for lam in (Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 5)):
+        for r_value in (-2, 0, 3):
+            library = family_polys("frobenius-euler", ORACLE_N, r_value, lam)
+            for n in range(ORACLE_N + 1):
+                assert library[n].coefficients == _at(frobenius[n], u, r, lam, r_value)
+            for k in k_values:
+                library = family_polys("mixed-T", ORACLE_N, r_value, k, lam)
+                for n in range(ORACLE_N + 1):
+                    assert library[n].coefficients == _at(mixed[k][n], u, r, lam, r_value)
+    for k in k_values:
+        for n, poly in enumerate(mixed[k]):
+            assert poly.degree(u) <= n and poly.degree(r) <= n
+
+
 # --- Kaneko's identities for poly-Bernoulli numbers of negative index --------
 
 def explicit_stirling2(n, m):

@@ -263,6 +263,9 @@ def test_inexact_numbers_are_rejected(inexact):
         lambda: rational * inexact,
         lambda: inexact * rational,
         lambda: exp_series(inexact, 3),
+        lambda: Polynomial([inexact, 1]),
+        lambda: X(inexact),
+        lambda: X.shift(inexact),
     ):
         with pytest.raises(TypeError):
             operation()
