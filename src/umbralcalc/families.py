@@ -18,9 +18,9 @@ stores the sum as the returned series with no `Fraction` made; it stays
 a power sum, so the Stirling closed forms of the identity suite remain a
 second path.
 Because the expansion is exactly the binomial (Appell) formula,
-foundations' "binomial expansion" check reads its other side from the
-series product over the polynomial ring (`umbral.sheffer_polynomials` of
-the Appell pair), not from this module.
+foundations' "binomial expansion" check reads its other side from Roman's
+coefficient formula, the pairing columns of the Appell pair
+(`umbral.sheffer_polynomials`), not from this module.
 
 Kernels (all with constant term 1, so every family is monic):
 
@@ -65,7 +65,7 @@ from functools import lru_cache
 from math import factorial, gcd
 from operator import mul
 
-from .polynomials import _canonical_row, _make
+from .polynomials import _canonical_row, _exact, _make
 from .series import TruncatedSeries, exp_series
 
 __all__ = [
@@ -89,7 +89,10 @@ __all__ = [
 
 
 def require_not_one(value, name: str) -> Fraction:
-    value = Fraction(value)
+    """``value`` as a `Fraction`, for an exact rational or a string such
+    as "-2/3"; an inexact number raises TypeError (`polynomials._exact`)
+    and the value 1 ValueError."""
+    value = Fraction(value if isinstance(value, str) else _exact(value))
     if value == 1:
         raise ValueError(f"{name} must differ from 1")
     return value

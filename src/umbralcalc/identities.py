@@ -652,7 +652,9 @@ def _foundations_task(r, k, lam, ns):
     h_polys = family_polys("frobenius-euler", n_top, r, lam)
     h_nums = family_numbers("frobenius-euler", n_top, r, lam)
     # polys_from_kernel builds H_n by the binomial formula itself, so the
-    # binomial expansion is checked against the e^{xt} series product
+    # binomial expansion is checked against Roman's coefficient formula:
+    # the pairing columns of the Appell pair (1/kernel, t), which invert
+    # the kernel twice
     h_series = sheffer_polynomials(
         appell_pair(frobenius_euler_kernel(r, lam, n_top + 1)), n_top
     )

@@ -51,7 +51,8 @@ def _exact(value) -> Scalar:
     """``value`` itself when it is an int or a `Fraction`, another exact
     rational as a `Fraction`; anything else, an inexact number (a float,
     complex or Decimal) included, raises TypeError.  This is the one
-    exactness check of polynomials and series."""
+    exactness check of polynomials, series and the lambda and mu
+    parameters (`families.require_not_one`)."""
     if isinstance(value, _RATIONAL):
         return value
     if isinstance(value, Rational):

@@ -1,5 +1,4 @@
-"""Truncated formal power series in t over the rationals or the
-polynomials in x.
+"""Truncated formal power series in t over the rationals.
 
 Every series carries an explicit truncation order N and stores exactly the
 coefficients of t^0 .. t^N.  Binary operations truncate the result to the
@@ -11,16 +10,10 @@ A series is stored like a `Polynomial`: a tuple of integer numerators over
 one positive denominator, in canonical form (``gcd(den, *num) == 1``,
 `polynomials._canonical_row`), so equality is structural comparison and a
 `Fraction` is made only where a coefficient leaves the class
-(`coefficient`, `coefficients`, ``repr``).  Polynomial coefficients are the
-second supported instantiation (series of the shape f(t) * e^{x t}): such a
-series stores its coefficients as polynomials over 1, and one whose
-coefficients all come out constant is stored as rational, so series over
-the two rings mix freely.  Each operation has one loop, run on the stored
-numerators whatever their ring; inversion alone is rational only and
-raises TypeError for a series with a nonconstant polynomial coefficient.
-An int, a `Fraction` or a polynomial is a coefficient or a scalar operand;
-anything else, an inexact number (a float, complex or Decimal) included,
-raises TypeError.
+(`coefficient`, `coefficients`, ``repr``).  Each operation has one loop
+on the stored numerators.  An int or a `Fraction` is a coefficient or a
+scalar operand; anything else, an inexact number (a float, complex or
+Decimal) or a polynomial included, raises TypeError.
 
 Inversion keeps its partial results over one running denominator and
 cancels, at every step, the factor the new term shares with the constant
@@ -35,38 +28,16 @@ from math import factorial, gcd, lcm
 from operator import mul
 from typing import Iterable
 
-from .polynomials import Polynomial, _canonical_row, _common_denominator, _exact, _power
-from .polynomials import _make as _polynomial
+from .polynomials import _canonical_row, _exact, _power
 
 __all__ = ["TruncatedSeries", "exp_series"]
 
 
 def _split(value) -> tuple:
-    """(numerator, denominator) of a coefficient or scalar: two ints for
-    an exact rational, the polynomial itself over 1; anything else raises
-    TypeError (`polynomials._exact`)."""
-    if isinstance(value, Polynomial):
-        return value, 1
+    """(numerator, denominator) of an exact rational coefficient or
+    scalar; anything else raises TypeError (`polynomials._exact`)."""
     value = _exact(value)
     return value.numerator, value.denominator
-
-
-def _stored(num: list, den: int) -> tuple:
-    """The canonical ``(numerators, denominator)`` of the coefficients
-    num[i]/den, for int or polynomial numerators and a nonzero int ``den``
-    (positive when some numerator is a polynomial): ints over a positive
-    denominator with no common factor, or, when some coefficient is a
-    nonconstant polynomial, every coefficient as a polynomial over 1."""
-    if Polynomial in set(map(type, num)):
-        polys = [c if isinstance(c, Polynomial) else Polynomial([c]) for c in num]
-        if any(p.degree > 0 for p in polys):
-            if den != 1:
-                polys = [_polynomial(list(p._num), p._den * den) for p in polys]
-            return tuple(polys), 1
-        num, scale = _common_denominator([p.coefficient(0) for p in polys])
-        den *= scale
-    num, den = _canonical_row(num, den)
-    return tuple(num), den
 
 
 class TruncatedSeries:
@@ -89,14 +60,16 @@ class TruncatedSeries:
         del items[order + 1:]
         items += [(0, 1)] * (order + 1 - len(items))
         den = lcm(*[d for _, d in items])
-        self._num, self._den = _stored([c if d == den else c * (den // d) for c, d in items], den)
+        num, self._den = _canonical_row([c if d == den else c * (den // d) for c, d in items], den)
+        self._num = tuple(num)
         self._order = order
 
     @classmethod
     def _make(cls, num: list, den: int, order: int) -> "TruncatedSeries":
         # internal fast path: num already has length order + 1
         series = cls.__new__(cls)
-        series._num, series._den = _stored(num, den)
+        num, series._den = _canonical_row(num, den)
+        series._num = tuple(num)
         series._order = order
         return series
 
@@ -118,16 +91,13 @@ class TruncatedSeries:
 
     @property
     def coefficients(self) -> tuple:
-        num, den = self._num, self._den
-        if isinstance(num[0], Polynomial):
-            return num
-        return tuple([Fraction(c, den) for c in num])
+        den = self._den
+        return tuple([Fraction(c, den) for c in self._num])
 
-    def coefficient(self, k: int):
+    def coefficient(self, k: int) -> Fraction:
         if not 0 <= k <= self._order:
             raise ValueError(f"coefficient {k} is beyond truncation order {self._order}")
-        c = self._num[k]
-        return c if isinstance(c, Polynomial) else Fraction(c, self._den)
+        return Fraction(self._num[k], self._den)
 
     def valuation(self) -> int | None:
         """Order o(f): smallest k with nonzero coefficient; None if all
@@ -200,8 +170,7 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse of a rational series; requires a nonzero
-        constant term."""
+        """Multiplicative inverse; requires a nonzero constant term."""
         # a = A/d with integer A: 1/a = (d/A_0) u, where u = 1/(A/A_0) has
         # u_0 = 1 and u_k = -sum_{j=1..k} A_j u_{k-j} / A_0.  The u_k are
         # kept as numerators U_k over one running denominator E; a new
@@ -211,8 +180,6 @@ class TruncatedSeries:
         a0 = a[0]
         if not a0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
-        if isinstance(a0, Polynomial):
-            raise TypeError("only a series with rational coefficients can be inverted")
         nums = [1]
         den = 1
         for k in range(1, self._order + 1):
@@ -314,12 +281,10 @@ class TruncatedSeries:
 
 
 def exp_series(scale, order: int) -> TruncatedSeries:
-    """The exponential sum_{k<=N} scale^k t^k / k!.
+    """The exponential sum_{k<=N} scale^k t^k / k! of a rational scale.
 
-    ``scale`` may be rational or a polynomial (giving the two-variable
-    series e^{x t} when scale is the polynomial x).  For scale = w/d the
-    t^k coefficient is w^k d^(N-k) (N!/k!) over the one denominator
-    d^N N!.
+    For scale = w/d the t^k coefficient is w^k d^(N-k) (N!/k!) over the
+    one denominator d^N N!.
     """
     w, d = _split(scale)
     num, power, ratio = [], 1, factorial(order)

@@ -17,7 +17,9 @@ integer row-times-matrix product.  Over the pairing core,
 line, and `connection_rows` (one source, many targets) gives each row as
 a canonical ``(numerators, denominator)`` pair; `solve_rows` gives the
 solve route's rows in the same form, so the ``bases`` verifier compares
-rows as pairs.
+rows as pairs.  `sheffer_polynomials` reads the same core: by Roman's
+coefficient formula, the rows of connection constants into the monomial
+pair (1, t) are the coefficients of the Sheffer polynomials.
 Only the row representation is shared: the pairing route reads only
 the two Sheffer pairs and the solve route only the integer numerators of
 the polynomials and the basis.  Neither calls the other or any
@@ -37,8 +39,8 @@ from fractions import Fraction
 from math import factorial, lcm, perm
 from operator import mul
 
-from .polynomials import Polynomial, X, _canonical_row
-from .series import TruncatedSeries, exp_series
+from .polynomials import Polynomial, X, _canonical_row, _make
+from .series import TruncatedSeries
 
 __all__ = [
     "VerificationReport",
@@ -99,7 +101,7 @@ class VerificationReport:
 
 
 def pairing(functional: TruncatedSeries, p: Polynomial) -> Fraction:
-    """<f(t) | p(x)> = sum_k a_k k! [x^k] p, for rational-coefficient f."""
+    """<f(t) | p(x)> = sum_k a_k k! [x^k] p."""
     if functional.order < p.degree:
         raise ValueError(
             f"functional truncated at order {functional.order} cannot pair "
@@ -109,8 +111,6 @@ def pairing(functional: TruncatedSeries, p: Polynomial) -> Fraction:
     for k, c in enumerate(p.coefficients):
         if c:
             a = functional.coefficient(k)
-            if not isinstance(a, (int, Fraction)):
-                raise TypeError("pairing requires a rational-coefficient series")
             if a:
                 acc += a * factorial(k) * c
     return acc
@@ -157,19 +157,17 @@ class ShefferPair:
 
 
 def sheffer_polynomials(pair: ShefferPair, n_max: int) -> list:
-    """S_0..S_{n_max} for the pair (g, f): n! times the t^n coefficient of
-    g(fbar(t))^{-1} e^{x fbar(t)}, computed over the polynomial ring."""
+    """S_0..S_{n_max} for the pair (g, f), by Roman's coefficient formula
+    S_n(x) = sum_m (n!/m!) [t^n] g(fbar)^{-1} fbar^m x^m: the rows of
+    connection constants of (g, f) in the monomial pair (1, t)
+    (`connection_rows`), read as coefficients."""
     if pair.order < n_max + 1:
         raise ValueError("pair truncation order must be at least n_max + 1")
-    fbar = pair.f.comp_inverse()
-    prefactor = pair.g.compose(fbar).invert()
-    generating = exp_series(X, prefactor.order).compose(fbar) * prefactor
-    polys = []
-    for n in range(n_max + 1):
-        c = generating.coefficient(n)
-        poly = c if isinstance(c, Polynomial) else Polynomial([c])
-        polys.append(factorial(n) * poly)
-    return polys
+    monomials = ShefferPair(
+        TruncatedSeries.constant(1, n_max + 1), TruncatedSeries.identity(n_max + 1)
+    )
+    (rows,) = connection_rows(pair, [monomials], n_max)
+    return [_make(num, den) for num, den in rows]
 
 
 def sheffer_orthogonality_check(pair: ShefferPair, polys, n_max: int) -> VerificationReport:

@@ -32,6 +32,9 @@ from umbralcalc.umbral import (
 )
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+# recorded `umbralcalc verify all` stdout on DEFAULT_GRID: a change that keeps
+# the outputs reproduces it byte for byte
+VERIFY_ALL_GOLDEN = Path(__file__).resolve().parent / "data" / "verify_all_default.jsonl"
 
 
 def _conclude(criterion, ok, started, budget=None):
@@ -204,6 +207,7 @@ def test_criterion_9_cli_gate():
 
     verify = run("verify", "all")
     ok = verify.returncode == 0
+    ok = ok and verify.stdout.encode() == VERIFY_ALL_GOLDEN.read_bytes()
     reports = [json.loads(line) for line in verify.stdout.splitlines()]
     ok = ok and len(reports) == 7 and all(r["status"] == "pass" for r in reports)
 

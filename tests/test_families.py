@@ -20,7 +20,7 @@ from umbralcalc.families import (
     stirling2_triangle,
 )
 from umbralcalc.polynomials import Polynomial, X
-from umbralcalc.series import TruncatedSeries, exp_series
+from umbralcalc.series import TruncatedSeries
 
 
 # --- set-partition enumeration oracle ---------------------------------------
@@ -224,14 +224,18 @@ def test_families_truncate_exactly_at_the_degree(n):
 # --- integer expansion and polylogarithm against the series routes ----------
 
 def series_product_polys(kernel, n_max):
-    """p_n = n! [t^n] e^{xt} * kernel by the series product over Q[x]."""
-    product = exp_series(X, kernel.order) * kernel
-    polys = []
-    for n in range(n_max + 1):
-        c = product.coefficient(n)
-        poly = c if isinstance(c, Polynomial) else Polynomial([c])
-        polys.append(factorial(n) * poly)
-    return polys
+    """p_n = n! [t^n] e^{xt} * kernel by series products, with
+    e^{xt} = sum_i x^i t^i/i!: the x^i coefficient of p_n is n! [t^n] of
+    the rational series kernel * t^i/i!."""
+    order = kernel.order
+    products = [
+        kernel * TruncatedSeries([0] * i + [Fraction(1, factorial(i))], order)
+        for i in range(n_max + 1)
+    ]
+    return [
+        Polynomial([factorial(n) * products[i].coefficient(n) for i in range(n + 1)])
+        for n in range(n_max + 1)
+    ]
 
 
 def fraction_loop_polylog(index, order):
@@ -372,6 +376,15 @@ def test_lambda_one_raises_on_every_call():
                 frobenius_euler_kernel(2, lam, 4)
             with pytest.raises(ValueError):
                 mixed_kernel(2, 1, lam, 4)
+
+
+def test_inexact_lambda_is_rejected():
+    # a float lambda used to be taken as its binary approximant, so that
+    # T_1 read x - 36028797018963968/32425917317067571
+    with pytest.raises(TypeError, match="must be exact"):
+        family_polys("frobenius-euler", 1, 1, 0.1)
+    with pytest.raises(TypeError, match="must be exact"):
+        family_polys("mixed-T", 1, 1, 1, 0.5)
 
 
 def test_order_zero_mixed_kernel_is_a_separate_entry():

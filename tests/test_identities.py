@@ -237,6 +237,13 @@ def test_grid_rejects_repeated_axis_values(axis, repeated):
         SweepGrid(**axis)
 
 
+@pytest.mark.parametrize("axis", [{"lambda_values": (0.1,)}, {"mu_values": (0.5,)}])
+def test_grid_rejects_inexact_lambda_and_mu(axis):
+    # a float used to be stored as its binary approximant
+    with pytest.raises(TypeError, match="must be exact"):
+        SweepGrid(**axis)
+
+
 def test_grid_axes_given_as_lists_become_tuples():
     # the bases data is memoised on the grid, so a grid built from lists
     # must hash, and equal the grid built from tuples
@@ -810,13 +817,14 @@ def test_shared_closed_forms_read_no_generating_function(monkeypatch, r, k, lam)
         assert drained == expected[task]
 
 
-# --- foundations' binomial expansion reads the series-product route ---------
+# --- foundations' binomial expansion reads the pairing-column route --------
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_binomial_expansion_check_compares_two_computations(monkeypatch, jobs):
     # polys_from_kernel builds H_n by the binomial formula, so the check's
-    # other side comes from the e^{xt} series product; break that route
-    # alone and the check must report it
+    # other side comes from Roman's coefficient formula (the pairing
+    # columns of the Appell pair); break that route alone and the check
+    # must report it
     route = identities.sheffer_polynomials
 
     def wrong_route(pair, n_max):
