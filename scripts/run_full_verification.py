@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Run every identity verifier on the default sweep grid and print a
 summary table.  The seconds column is this script's own clock, read as
-each report arrives: a row's time is the gap since the previous report,
-the verifier's sweep.  Counterexamples, if any, are printed as JSON.
-After the TOTAL line come the hits and misses of each memoised kernel
-builder in this process.  With ``--jobs`` > 1 the grid points run in one
-pool of worker processes for the whole sweep; each worker keeps its caches
-from one verifier to the next, and those caches are not shown."""
+each report arrives: a row's time is the gap since the previous report.
+Serially that is the verifier's sweep; with ``--jobs`` > 1 every
+verifier's grid points go to one pool of worker processes at once, so
+later verifiers already run during that gap and it is not the verifier's
+own time.  The TOTAL line is the run's wall time either way.
+Counterexamples, if any, are printed as JSON.  After the TOTAL line come
+the hits and misses of each memoised kernel builder in this process; the
+pool workers keep caches of their own for the whole run, which are not
+shown."""
 
 import argparse
 import json

@@ -38,22 +38,26 @@ side after its first counterexample.
 Grids are traversed in a fixed documented order (r, then k, then lambda,
 then the extra axes, then the degree n), so the first counterexample of a
 failing sweep is deterministic.  Grid points are independent pure
-computations; with ``jobs > 1`` they are evaluated in a process pool of
-``min(jobs, usable CPUs, grid points)`` workers and joined back in
-traversal order, which keeps reports order-stable.  `verify_all` opens
-one pool for the whole run, so its workers start once and keep their
-kernel caches from one verifier to the next; a verifier called on its own
-opens and shuts a pool of its own.  Data that every point of a sweep reads
-(the target bases of ``bases``) is memoised per process: each process
-builds it once from the grid, which is all a task carries.  A fail-fast
-sweep cancels its own tasks not yet started once a counterexample arrives
-and leaves the pool to the next sweep.
+computations, so a run is one stream of tasks: `verify_all` plans every
+verifier up front, and a verifier called on its own is a run of one plan.
+With ``jobs > 1`` the run opens one pool of ``min(jobs, usable CPUs, grid
+points)`` workers and submits every verifier's tasks at once, in registry
+order and in chunks of consecutive tasks, about four per worker and
+verifier, so later verifiers keep the workers busy while an earlier one
+finishes.  `verify_all` still gets each report by calling the verifier's
+`VERIFIERS` function, which joins its chunks in traversal order, so
+reports equal the serial run's, and a wrapped or replaced entry is what
+the run calls.  The workers keep their kernel caches for the whole run.
+Data that every point of a sweep reads (the target bases of ``bases``) is
+memoised per process: each process builds it once from the grid, which is
+all a task carries.  A fail-fast verifier cancels its own chunks not yet
+started once a counterexample arrives and leaves the others running.
 
-Each sweep returns one `VerificationReport` built from the runner's
-counts and counterexamples alone.  No sweep reads a clock, so serial and
-parallel runs give equal reports; a caller that wants the time of a
-sweep measures it around the call, as ``scripts/run_full_verification.py``
-does between the reports that `verify_all` yields.
+Each sweep gives one `VerificationReport` built from the runner's counts
+and counterexamples alone.  No sweep reads a clock, so serial and
+parallel runs give equal reports; a caller that wants timings measures
+them around the call, as ``scripts/run_full_verification.py`` does
+between the reports that `verify_all` yields.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from __future__ import annotations
 import os
 import threading
 from collections.abc import Callable
-from contextlib import contextmanager, nullcontext
+from contextlib import closing
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -203,22 +207,25 @@ def _side_text(side) -> str:
     return str(side)
 
 
-def _run_checks(checks, collect_all, task):
-    """Worker of one grid point: pull the comparisons of ``checks(*task)``
-    one at a time and return ``(checked, failures)``.  A failure lists r,
-    k, lambda, n, the extra parameters, the check and both sides."""
-    r, k, lam = task[:3]
+def _run_checks(checks, collect_all, tasks):
+    """Worker of one chunk: run the grid points of ``tasks`` in order,
+    pull the comparisons of each ``checks(*task)`` one at a time and
+    return ``(checked, failures)``; unless ``collect_all``, stop at the
+    first failure.  A failure lists r, k, lambda, n, the extra parameters,
+    the check and both sides."""
     checked = 0
     failures = []
-    for n, check, lhs, rhs, extra in checks(*task):
-        checked += 1
-        if lhs != rhs:
-            failures.append(
-                {"r": r, "k": k, "lambda": str(lam), "n": n, **extra,
-                 "check": check, "lhs": _side_text(lhs), "rhs": _side_text(rhs)}
-            )
-            if not collect_all:
-                break
+    for task in tasks:
+        r, k, lam = task[:3]
+        for n, check, lhs, rhs, extra in checks(*task):
+            checked += 1
+            if lhs != rhs:
+                failures.append(
+                    {"r": r, "k": k, "lambda": str(lam), "n": n, **extra,
+                     "check": check, "lhs": _side_text(lhs), "rhs": _side_text(rhs)}
+                )
+                if not collect_all:
+                    return checked, failures
     return checked, failures
 
 
@@ -230,48 +237,62 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-@contextmanager
-def _pool(jobs, points):
-    """A process pool of ``min(jobs, usable CPUs, points)`` workers, shut
-    down on exit, or None when that is one worker: the tasks then run in
-    this process."""
-    workers = min(jobs, usable_cpus(), points)
-    if workers <= 1:
-        yield None
-        return
-    from concurrent.futures import ProcessPoolExecutor
+class _Stream:
+    """One run's tasks, as plans ``(identity, grid description, tasks,
+    checks)``.  With one worker, ``report(identity)`` runs that plan's
+    tasks here, lazily, as one chunk.  Otherwise a pool of ``min(jobs,
+    usable CPUs, points)`` workers takes every plan at once, in chunks of
+    ceil(points / (4 * workers)) consecutive tasks; a report joins its
+    chunks in order and cancels those not started, which only a fail-fast
+    failure leaves.  `close` shuts the pool, cancelling what has not
+    started."""
 
-    pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        yield pool
-    finally:
-        pool.shutdown(cancel_futures=True)
+    def __init__(self, plans, collect_all, jobs):
+        self.plans = {plan[0]: plan for plan in plans}
+        self.collect_all, self.pool, self.chunks = collect_all, None, {}
+        workers = min(jobs, usable_cpus(), max((len(plan[2]) for plan in plans), default=0))
+        if workers <= 1:
+            return
+        from concurrent.futures import ProcessPoolExecutor
 
-
-#: ``pool``: the pool of the `verify_all` running in this thread, set
-#: only while one of its verifiers runs; a sweep outside `verify_all`
-#: opens a pool of its own.
-_RUN = threading.local()
-
-
-def _sweep(identity, grid_desc, tasks, worker, collect_all, jobs) -> VerificationReport:
-    failures = []
-    checked = 0
-    run_pool = getattr(_RUN, "pool", None)
-    with nullcontext(run_pool) if run_pool else _pool(jobs, len(tasks)) as pool:
-        results = pool.map(worker, tasks) if pool else map(worker, tasks)
+        self.pool = ProcessPoolExecutor(max_workers=workers)
         try:
-            for task_checked, task_failures in results:
-                checked += task_checked
-                failures.extend(task_failures)
-                if failures and not collect_all:
+            for identity, _, tasks, checks in plans:
+                size = -(-len(tasks) // (4 * workers))
+                worker = partial(_run_checks, checks, collect_all)
+                self.chunks[identity] = [
+                    self.pool.submit(worker, tasks[i:i + size])
+                    for i in range(0, len(tasks), size)
+                ]
+        except BaseException:
+            self.close()
+            raise
+
+    def report(self, identity) -> VerificationReport:
+        _, grid_desc, tasks, checks = self.plans[identity]
+        if self.pool is None:
+            checked, failures = _run_checks(checks, self.collect_all, tasks)
+        else:
+            checked, failures = 0, []
+            for chunk in self.chunks[identity]:
+                chunk_checked, chunk_failures = chunk.result()
+                checked += chunk_checked
+                failures.extend(chunk_failures)
+                if failures and not self.collect_all:
                     break
-        finally:
-            if pool:
-                # cancels this sweep's tasks that no worker has started
-                results.close()
-    # a fail-fast sweep stops at its first failure, so it keeps at most one
-    return VerificationReport(identity, grid_desc, checked, tuple(failures))
+            for chunk in self.chunks[identity]:
+                chunk.cancel()
+        return VerificationReport(identity, grid_desc, checked, tuple(failures))
+
+    def close(self):
+        if self.pool is not None:
+            self.pool.shutdown(cancel_futures=True)
+
+
+#: ``due``: while `verify_all` calls a verifier, its stream and the
+#: identity, grid and mode it planned the verifier with; a verifier called
+#: with other arguments runs a stream of its own.
+_RUN = threading.local()
 
 
 def _shifted_power_table(n_top: int) -> list:
@@ -735,11 +756,11 @@ SPECS = {
 }
 
 
-def _verify(identity, grid, collect_all, jobs) -> VerificationReport:
-    """Sweep one identity over the (r, k, lambda) points of the grid;
-    grids reaching below the identity's stated degrees are rejected."""
+def _plan(identity, grid) -> tuple:
+    """One verifier's part of a run: ``(identity, grid description, tasks,
+    checks)``, its (r, k, lambda) points in traversal order and the task
+    that runs at each."""
     spec = SPECS[identity]
-    spec.require_degrees(grid)
     ns = grid.degrees()
     tasks = [
         (r, k, lam, ns)
@@ -749,13 +770,17 @@ def _verify(identity, grid, collect_all, jobs) -> VerificationReport:
     ]
     # a task carries the grid, never the data built from it
     checks = partial(spec.task, grid=grid) if spec.with_s_mu else spec.task
-    worker = partial(_run_checks, checks, collect_all)
-    return _sweep(identity, _axes(grid, spec.with_s_mu), tasks, worker, collect_all, jobs)
+    return identity, _axes(grid, spec.with_s_mu), tasks, checks
 
 
 def _verifier(identity):
     def verify(grid: SweepGrid = DEFAULT_GRID, collect_all=False, jobs=1):
-        return _verify(identity, grid, collect_all, jobs)
+        SPECS[identity].require_degrees(grid)
+        due = getattr(_RUN, "due", None)
+        if due is not None and due[1:] == (identity, grid, collect_all):
+            return due[0].report(identity)
+        with closing(_Stream([_plan(identity, grid)], collect_all, jobs)) as stream:
+            return stream.report(identity)
 
     verify.__doc__ = f"Run the {identity!r} verifier over the grid."
     return verify
@@ -769,22 +794,28 @@ def verify_all(grid: SweepGrid = DEFAULT_GRID, collect_all=False, jobs=1):
 
     Identities stated only from some minimum degree get the grid clamped
     to that degree; if the clamp empties the degree range the verifier is
-    reported as a vacuous pass.  With ``jobs > 1`` every verifier runs in
-    one process pool, shut down when the run ends, raises or is closed.
+    reported as a vacuous pass.  Every verifier is planned before the
+    first report, and the run is one stream of tasks: with ``jobs > 1`` all
+    of them go to one process pool at once, shut down when the run ends,
+    raises or is closed.  Each report still comes from a call of its
+    `VERIFIERS` function, which joins the work planned for it.
     """
-    points = len(grid.r_values) * len(grid.k_values) * len(grid.lambda_values)
-    with _pool(jobs, points) as pool:
-        for identity, verifier in VERIFIERS.items():
-            floor = SPECS[identity].floor
-            if grid.n_max < floor:
+    grids = {
+        identity: grid if grid.n_min >= spec.floor else replace(grid, n_min=spec.floor)
+        for identity, spec in SPECS.items()
+        if grid.n_max >= spec.floor
+    }
+    plans = [_plan(identity, g) for identity, g in grids.items()]
+    with closing(_Stream(plans, collect_all, jobs)) as stream:
+        for identity in SPECS:
+            if identity not in grids:
                 yield VerificationReport(identity, _axes(grid))
                 continue
-            g = grid if grid.n_min >= floor else replace(grid, n_min=floor)
-            # the pool is this run's only while its verifier runs, not
+            # the stream is this run's only while its verifier runs, not
             # across the yield
-            _RUN.pool = pool
+            _RUN.due = (stream, identity, grids[identity], collect_all)
             try:
-                report = verifier(g, collect_all=collect_all, jobs=jobs)
+                report = VERIFIERS[identity](grids[identity], collect_all=collect_all, jobs=jobs)
             finally:
-                _RUN.pool = None
+                _RUN.due = None
             yield report

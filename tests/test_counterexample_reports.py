@@ -119,15 +119,30 @@ def test_counterexample_report_matches_golden(defective, identity, collect_all, 
     assert payload == _golden()[identity, collect_all, jobs]
 
 
+def _pooled_and_serial(monkeypatch, grid, collect_all):
+    monkeypatch.setattr(identities, "usable_cpus", lambda: 2)
+    serial = [r.to_jsonable() for r in verify_all(grid, collect_all=collect_all, jobs=1)]
+    pooled = [r.to_jsonable() for r in verify_all(grid, collect_all=collect_all, jobs=2)]
+    assert [r["status"] for r in serial] == ["fail"] * len(SPECS)
+    return pooled, serial
+
+
 @pytest.mark.parametrize("collect_all", [False, True])
 def test_one_pool_run_reports_as_the_serial_run(defective, monkeypatch, collect_all):
     # a fail-fast verifier's cancelled or still-running tasks must not reach
     # the next verifier's report in the pool they share
-    monkeypatch.setattr(identities, "usable_cpus", lambda: 2)
-    serial = [r.to_jsonable() for r in verify_all(GRID, collect_all=collect_all, jobs=1)]
-    pooled = [r.to_jsonable() for r in verify_all(GRID, collect_all=collect_all, jobs=2)]
+    pooled, serial = _pooled_and_serial(monkeypatch, GRID, collect_all)
     assert pooled == serial
-    assert [r["status"] for r in serial] == ["fail"] * len(SPECS)
+
+
+@pytest.mark.parametrize("collect_all", [False, True])
+def test_multi_point_chunks_report_as_the_serial_run(defective, monkeypatch, collect_all):
+    # GRID's 8 points give two workers chunks of one point; a third lambda
+    # gives 12 points and chunks of ceil(12 / 8) = 2, so a chunk stops or
+    # goes on past a counterexample inside it, and counts its checks
+    grid = replace(GRID, lambda_values=GRID.lambda_values + (Fraction(1, 2),))
+    pooled, serial = _pooled_and_serial(monkeypatch, grid, collect_all)
+    assert pooled == serial
 
 
 if __name__ == "__main__":

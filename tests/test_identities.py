@@ -3,6 +3,7 @@ import functools
 import inspect
 import json
 import multiprocessing
+from contextlib import closing
 from dataclasses import replace
 from fractions import Fraction
 from math import comb, gcd
@@ -32,7 +33,7 @@ from umbralcalc.identities import (
     TARGETS,
     VERIFIERS,
     SweepGrid,
-    _sweep,
+    _Stream,
     appell_pair,
     verify_all,
 )
@@ -267,16 +268,22 @@ def test_parallel_sweep_matches_sequential():
 
 # --- failure machinery, exercised through the shared sweep runner -----------
 
-def _flaky_worker(task):
-    index, bad = task
-    if index in bad:
-        return 1, [{"n": index, "check": "toy", "lhs": "0", "rhs": "1"}]
-    return 1, []
+def _flaky_checks(r, k, lam, bad):
+    # one check per point, failing at the points r listed in ``bad``
+    yield r, "toy", 0, int(r in bad), {}
+
+
+def _toy_plan(n_tasks, bad=(), identity="toy"):
+    return identity, {"n_max": 7}, [(i, 0, 1, bad) for i in range(n_tasks)], _flaky_checks
+
+
+def _toy_sweep(n_tasks, bad, collect_all, jobs):
+    with closing(_Stream([_toy_plan(n_tasks, bad)], collect_all, jobs)) as stream:
+        return stream.report("toy")
 
 
 def test_sweep_fail_fast_reports_first_counterexample():
-    tasks = [(i, (3, 5)) for i in range(8)]
-    report = _sweep("toy", {"n_max": 7}, tasks, _flaky_worker, False, 1)
+    report = _toy_sweep(8, (3, 5), False, 1)
     assert not report.passed
     assert report.counterexample["n"] == 3
     assert report.checked == 4  # stopped scanning after the first failure
@@ -284,8 +291,7 @@ def test_sweep_fail_fast_reports_first_counterexample():
 
 
 def test_sweep_collect_all_gathers_every_failure():
-    tasks = [(i, (3, 5)) for i in range(8)]
-    report = _sweep("toy", {"n_max": 7}, tasks, _flaky_worker, True, 1)
+    report = _toy_sweep(8, (3, 5), True, 1)
     assert not report.passed
     assert report.counterexample["n"] == 3
     assert [f["n"] for f in report.counterexamples] == [3, 5]
@@ -296,8 +302,7 @@ def test_sweep_collect_all_gathers_every_failure():
 
 
 def test_sweep_parallel_first_counterexample_is_stable():
-    tasks = [(i, (3, 5)) for i in range(8)]
-    report = _sweep("toy", {"n_max": 7}, tasks, _flaky_worker, False, 4)
+    report = _toy_sweep(8, (3, 5), False, 4)
     assert report.counterexample["n"] == 3
 
 
@@ -312,37 +317,58 @@ def _toy_checks(r, k, lam, ns, pulled):
 def test_run_checks_counts_records_and_stops_lazily():
     pulled = []
     task = (2, -1, Fraction(1, 2), range(5), pulled)
-    checked, failures = identities._run_checks(_toy_checks, False, task)
-    assert checked == 2 and pulled == [0, 1]  # nothing computed past the failure
+    # a chunk of two points: fail-fast computes nothing past the failure,
+    # in its point or the next
+    checked, failures = identities._run_checks(_toy_checks, False, [task, task])
+    assert checked == 2 and pulled == [0, 1]
     assert failures == [
         {"r": 2, "k": -1, "lambda": "1/2", "n": 1, "basis": "toy",
          "check": "toy", "lhs": "[1/2, 3]", "rhs": "2"}
     ]
     assert list(failures[0]) == ["r", "k", "lambda", "n", "basis", "check", "lhs", "rhs"]
     pulled.clear()
-    checked, failures = identities._run_checks(_toy_checks, True, task)
-    assert checked == 5 and pulled == [0, 1, 2, 3, 4]
-    assert [f["n"] for f in failures] == [1, 3]
+    checked, failures = identities._run_checks(_toy_checks, True, [task, task])
+    assert checked == 10 and pulled == [0, 1, 2, 3, 4] * 2
+    assert [f["n"] for f in failures] == [1, 3, 1, 3]
+
+
+class _LazyFuture:
+    """A submitted chunk that runs in-process only when its result is read;
+    ``state`` records whether it ran or was cancelled first."""
+
+    def __init__(self, fn, chunk):
+        self.fn, self.chunk, self.state = fn, chunk, "pending"
+
+    def result(self):
+        assert self.state == "pending"
+        self.state = "done"
+        return self.fn(self.chunk)
+
+    def cancel(self):
+        if self.state != "pending":
+            return False
+        self.state = "cancelled"
+        return True
 
 
 class _RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: runs tasks lazily in-process and
-    records the pool size, the results handed out and the shutdown."""
+    """Stands in for ProcessPoolExecutor: records the pool size, every
+    chunk submitted, in order, and the shutdown."""
 
     instances = []
 
     def __init__(self, max_workers):
         self.max_workers = max_workers
-        self.maps = 0
-        self.handed_out = 0
+        self.futures = []
         self.shutdown_calls = []
         _RecordingExecutor.instances.append(self)
 
-    def map(self, fn, iterable):
-        self.maps += 1
-        for item in iterable:
-            self.handed_out += 1
-            yield fn(item)
+    def submit(self, fn, chunk):
+        self.futures.append(_LazyFuture(fn, chunk))
+        return self.futures[-1]
+
+    def states(self):
+        return [future.state for future in self.futures]
 
     def shutdown(self, wait=True, *, cancel_futures=False):
         self.shutdown_calls.append(cancel_futures)
@@ -361,8 +387,7 @@ def fake_pool(monkeypatch):
     [(64, 8, 4), (3, 8, 3), (64, 2, 2), (8, 1, None), (1, 8, None)],
 )
 def test_sweep_pool_size_is_bounded(fake_pool, jobs, n_tasks, expected):
-    tasks = [(i, ()) for i in range(n_tasks)]
-    report = _sweep("toy", {"n_max": 7}, tasks, _flaky_worker, False, jobs)
+    report = _toy_sweep(n_tasks, (), False, jobs)
     assert report.passed and report.checked == n_tasks
     if expected is None:
         assert fake_pool == []  # one worker's worth of tasks runs in-process
@@ -371,20 +396,32 @@ def test_sweep_pool_size_is_bounded(fake_pool, jobs, n_tasks, expected):
 
 
 def test_sweep_fail_fast_cancels_queued_tasks(fake_pool):
-    tasks = [(i, (3, 5)) for i in range(210)]
-    report = _sweep("toy", {"n_max": 7}, tasks, _flaky_worker, False, 64)
+    report = _toy_sweep(210, (3, 5), False, 64)
     assert report.counterexample["n"] == 3 and report.checked == 4
     (pool,) = fake_pool
-    assert pool.handed_out == 4
+    # four workers, chunks of ceil(210 / 16) = 14 points; none runs after
+    # the failing one
+    assert [len(future.chunk) for future in pool.futures] == [14] * 15
+    assert pool.states() == ["done"] + ["cancelled"] * 14
     assert pool.shutdown_calls == [True]
 
 
 def test_sweep_collect_all_drains_every_task(fake_pool):
-    tasks = [(i, (3, 5)) for i in range(8)]
-    report = _sweep("toy", {"n_max": 7}, tasks, _flaky_worker, True, 2)
+    report = _toy_sweep(8, (3, 5), True, 2)
     assert [f["n"] for f in report.counterexamples] == [3, 5]
     (pool,) = fake_pool
-    assert pool.handed_out == 8
+    assert pool.states() == ["done"] * 8
+
+
+def test_fail_fast_cancels_only_the_failing_verifiers_chunks(fake_pool):
+    plans = [_toy_plan(40, (3,), "first"), _toy_plan(40, (), "second")]
+    with closing(_Stream(plans, False, 2)) as stream:
+        first, second = stream.report("first"), stream.report("second")
+    assert first.counterexample["n"] == 3 and first.checked == 4
+    assert second.passed and second.checked == 40
+    (pool,) = fake_pool
+    # two workers, chunks of ceil(40 / 8) = 5 points per verifier
+    assert pool.states() == ["done"] + ["cancelled"] * 7 + ["done"] * 8
 
 
 def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
@@ -393,8 +430,7 @@ def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
     monkeypatch.setattr(identities.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(identities.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert identities.usable_cpus() == 1
-    tasks = [(i, ()) for i in range(8)]
-    assert _sweep("toy", {"n_max": 7}, tasks, _flaky_worker, False, 4).checked == 8
+    assert _toy_sweep(8, (), False, 4).checked == 8
     assert _RecordingExecutor.instances == []  # one usable CPU, no pool
     monkeypatch.delattr(identities.os, "sched_getaffinity")
     assert identities.usable_cpus() == 2
@@ -403,20 +439,113 @@ def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
 POOL_GRID = replace(SMALL, n_max=4, r_values=(-1, 2), lambda_values=(Fraction(2),))
 
 
+def _verifier_of(future):
+    """The verifier a submitted chunk belongs to, read from its task."""
+    checks = future.fn.args[0]
+    task = getattr(checks, "func", checks)
+    return next(identity for identity, spec in SPECS.items() if spec.task is task)
+
+
 def test_verify_all_opens_one_pool_for_every_verifier(fake_pool):
     reports = list(verify_all(POOL_GRID, jobs=2))
     assert [report.identity for report in reports] == list(SPECS)
     assert all(report.passed and report.checked for report in reports)  # thm4, thm5 clamped
     (pool,) = fake_pool
-    assert pool.max_workers == 2 and pool.maps == len(SPECS) == 7
+    assert pool.max_workers == 2
+    # six points, two workers: six chunks of one point per verifier
+    assert [_verifier_of(future) for future in pool.futures] == [
+        identity for identity in SPECS for _ in range(6)
+    ]
+    assert pool.states() == ["done"] * 6 * len(SPECS)
     assert pool.shutdown_calls == [True]
-    assert identities._RUN.pool is None
+    assert identities._RUN.due is None
+
+
+def test_verify_all_submits_every_verifier_before_the_first_report(fake_pool):
+    reports = verify_all(POOL_GRID, jobs=2)
+    assert next(reports).identity == "thm1-2"
+    (pool,) = fake_pool
+    assert len(pool.futures) == 6 * len(SPECS)
+    assert pool.states() == ["done"] * 6 + ["pending"] * 6 * (len(SPECS) - 1)
+    reports.close()
+    assert pool.shutdown_calls == [True]
+
+
+def test_verify_all_reports_through_the_verifier_functions(fake_pool, monkeypatch):
+    # each report comes from a call of the VERIFIERS entry, with the
+    # clamped grid; a wrapped entry joins the run's chunks and starts none
+    calls = []
+    for identity, verifier in VERIFIERS.items():
+        def wrapped(grid, collect_all=False, jobs=1, identity=identity, verifier=verifier):
+            calls.append((identity, grid.n_min, collect_all, jobs))
+            return verifier(grid, collect_all=collect_all, jobs=jobs)
+
+        monkeypatch.setitem(VERIFIERS, identity, wrapped)
+    reports = list(verify_all(POOL_GRID, jobs=2))
+    assert all(report.passed for report in reports)
+    assert calls == [
+        (identity, spec.floor, False, 2) for identity, spec in SPECS.items()
+    ]
+    (pool,) = fake_pool
+    assert pool.states() == ["done"] * 6 * len(SPECS)
+
+
+def test_verify_all_stops_at_a_raising_verifier_function(fake_pool, monkeypatch):
+    def broken(grid, collect_all=False, jobs=1):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setitem(VERIFIERS, "thm3", broken)
+    reports = verify_all(POOL_GRID, jobs=2)
+    assert next(reports).identity == "thm1-2"
+    with pytest.raises(ZeroDivisionError, match="injected"):
+        next(reports)
+    (pool,) = fake_pool
+    assert pool.shutdown_calls == [True] and identities._RUN.due is None
+    # thm3's chunks and those after it never ran
+    assert pool.states() == ["done"] * 6 + ["pending"] * 6 * (len(SPECS) - 1)
+
+
+def test_a_verifier_called_off_plan_runs_its_own_stream(fake_pool, monkeypatch):
+    # inside verify_all, a call with another grid than the planned one
+    # must not take the planned report
+    thm3 = VERIFIERS["thm3"]
+    other = replace(POOL_GRID, n_max=2)
+    monkeypatch.setitem(VERIFIERS, "thm3", lambda grid, collect_all=False, jobs=1: thm3(other))
+    reports = {report.identity: report for report in verify_all(POOL_GRID, jobs=2)}
+    assert reports["thm3"] == thm3(other)
+    assert reports["thm3"].checked == 6 * 3
+    # one pool, the run's; the planned thm3 chunks are left to the shutdown
+    (pool,) = fake_pool
+    assert pool.states() == ["done"] * 6 + ["pending"] * 6 + ["done"] * 6 * (len(SPECS) - 2)
+
+
+@pytest.mark.parametrize(
+    "name, chunks",
+    [("benchmark", [1] * 4), ("default", [27] * 7 + [21])],
+    ids=["benchmark", "default"],
+)
+def test_chunks_follow_the_grid(fake_pool, monkeypatch, name, chunks):
+    # ceil(points / (4 * workers)) consecutive points per chunk: the
+    # benchmark grid's 4 points give 4 chunks of 1 at 2 workers, and the
+    # default grid's 210 points 8 chunks of up to 27
+    grid = SweepGrid(**_load_workloads().verify_grid(1)) if name == "benchmark" else DEFAULT_GRID
+    monkeypatch.setattr(identities, "usable_cpus", lambda: 2)
+    # count each chunk's points instead of checking them
+    monkeypatch.setattr(
+        identities, "_run_checks", lambda checks, collect_all, tasks: (len(tasks), [])
+    )
+    reports = list(verify_all(grid, jobs=2))
+    (pool,) = fake_pool
+    assert pool.max_workers == 2
+    assert [len(future.chunk) for future in pool.futures] == chunks * len(SPECS)
+    assert [report.checked for report in reports] == [sum(chunks)] * len(SPECS)
 
 
 def test_direct_verifier_opens_and_shuts_its_own_pool(fake_pool):
     assert VERIFIERS["thm3"](POOL_GRID, jobs=2).passed
     (pool,) = fake_pool
-    assert pool.maps == 1 and pool.shutdown_calls == [True]
+    assert {_verifier_of(future) for future in pool.futures} == {"thm3"}
+    assert pool.states() == ["done"] * 6 and pool.shutdown_calls == [True]
 
 
 @pytest.mark.parametrize(
@@ -452,7 +581,7 @@ def test_closed_verify_all_leaves_no_process_running(forked_pool):
     assert next(reports).identity == "thm1-2"
     reports.close()
     assert multiprocessing.active_children() == []
-    assert identities._RUN.pool is None
+    assert identities._RUN.due is None
 
 
 def test_raising_worker_leaves_no_process_running(forked_pool, monkeypatch):
@@ -467,7 +596,7 @@ def test_raising_worker_leaves_no_process_running(forked_pool, monkeypatch):
     with pytest.raises(ArithmeticError, match="planted"):
         list(verify_all(POOL_GRID, jobs=2))
     assert multiprocessing.active_children() == []
-    assert identities._RUN.pool is None
+    assert identities._RUN.due is None
 
 
 def test_default_grid_matches_documented_sweep():

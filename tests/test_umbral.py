@@ -1,5 +1,6 @@
 import pickle
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial, gcd
 
 import pytest
@@ -396,15 +397,14 @@ def test_integer_solve_matches_fraction_oracle_on_general_bases(basis, to_expand
     assert all(den > 0 and gcd(den, *nums) == 1 for nums, den in rows)
 
 
-def test_bases_tasks_leave_the_shared_data_out(monkeypatch):
+def test_bases_tasks_leave_the_shared_data_out():
     # a task carries the grid; each process builds the basis data from it once
-    recorded = []
-    monkeypatch.setattr(identities, "_sweep", lambda *args: recorded.append(args))
     grid = identities.DEFAULT_GRID
-    identities.VERIFIERS["bases"](grid, jobs=2)
-    ((_, _, tasks, worker, _, _),) = recorded
+    _, _, tasks, checks = identities._plan("bases", grid)
     assert len(tasks) == 210
-    assert max(len(pickle.dumps((worker, task))) for task in tasks) < 1024
+    # what the pool is sent per point: the chunk worker and the task
+    worker = partial(identities._run_checks, checks, False)
+    assert max(len(pickle.dumps((worker, [task]))) for task in tasks) < 1024
     shared = identities._basis_instances(grid, grid.n_max)
     assert identities._basis_instances(grid, grid.n_max) is shared
     assert len(pickle.dumps(shared)) > 30_000
