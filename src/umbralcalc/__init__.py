@@ -34,7 +34,7 @@ from .umbral import (
     VerificationReport,
     appell_next,
     apply_operator,
-    connection_constants,
+    connection_rows,
     pairing,
     sheffer_orthogonality_check,
     sheffer_polynomials,

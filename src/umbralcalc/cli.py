@@ -42,7 +42,7 @@ from .identities import (
     verify_all,
 )
 from .polynomials import Polynomial, _render, parse_rational
-from .umbral import connection_constants
+from .umbral import connection_rows
 
 FORMATS = ("json", "csv", "latex")
 IDENTITIES = tuple(VERIFIERS) + ("all",)
@@ -266,7 +266,8 @@ def _run_bases(args) -> int:
         raise CliError(f"target {target_name!r} needs {' and '.join(_flags(target.needs))}")
     order = max(args.n_max, 1)
     source = appell_pair(mixed_kernel(args.r, args.k, args.lam, order))
-    constants = connection_constants(source, target.pair(args.s, args.mu, order), args.n_max)
+    (rows,) = connection_rows(source, [target.pair(args.s, args.mu, order)], args.n_max)
+    constants = [[Fraction(c, den) for c in nums] for nums, den in rows]
     params = _param_cells(args)
 
     def row(n):

@@ -532,10 +532,9 @@ TARGETS = {
 }
 
 
-def _integer_rows(rows) -> tuple:
-    """(integer numerator rows, positive common denominator) of rows of
-    rationals."""
-    pairs = [_common_denominator(row) for row in rows]
+def _integer_rows(pairs) -> tuple:
+    """(integer numerator rows, positive common denominator) of rows given
+    as (integer numerators, positive denominator) pairs."""
     den = lcm(*[d for _, d in pairs])
     return [[c * (den // d) for c in num] for num, d in pairs], den
 
@@ -556,8 +555,7 @@ def _basis_instances(grid: SweepGrid, n_top: int) -> dict:
         for s in grid.s_values if "s" in target.needs else (None,):
             for mu in grid.mu_values if "mu" in target.needs else (None,):
                 basis = target.basis(s, mu, n_top)
-                den = lcm(*[p._den for p in basis])
-                rows = [[c * (den // p._den) for c in p._num] for p in basis], den
+                rows = _integer_rows([(p._num, p._den) for p in basis])
                 instances.append((name, s, mu, basis, rows, target.pair(s, mu, order)))
                 expansions.append(monomial_expansion(basis))
     return {
@@ -639,9 +637,10 @@ def _basis_task(r, k, lam, ns, grid):
     t_polys = polys_from_kernel(kernel, n_top)
     t_nums = _common_denominator(numbers_from_kernel(kernel, n_top))
     source = appell_pair(kernel)
-    values = _integer_rows(
-        [[t_polys[i](j) for j in range(shared["s_max"] + 1)] for i in range(n_top + 1)]
-    )
+    values = _integer_rows([
+        _common_denominator([t_polys[i](j) for j in range(shared["s_max"] + 1)])
+        for i in range(n_top + 1)
+    ])
     instances = shared["instances"]
     # one source for every target, so fbar and 1/g(fbar) are built once
     by_target = connection_rows(source, [instance[5] for instance in instances], n_top)

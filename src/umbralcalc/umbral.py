@@ -7,19 +7,18 @@ functional object, so the pairing is plain coefficient contraction.
 Acting with f(t) as an operator sends p(x) to sum a_k p^(k)(x).
 
 The two routes to connection constants run on integer numerators over
-one common denominator.  The pairing route reads the stored integer
-numerators of the prefactor and l(fbar) and builds each power by integer
-convolution, or by a plain shift when l(fbar) is the series t (Appell
-targets).  The solve route inverts a triangular basis once,
-`monomial_expansion`, so that expressing any polynomial in it is one
-integer row-times-matrix product.  Over the pairing core,
-`connection_constants` makes one `Fraction` per constant for the command
-line, and `connection_rows` (one source, many targets) gives each row as
-a canonical ``(numerators, denominator)`` pair; `solve_rows` gives the
-solve route's rows in the same form, so the ``bases`` verifier compares
-rows as pairs.  `sheffer_polynomials` reads the same core: by Roman's
-coefficient formula, the rows of connection constants into the monomial
-pair (1, t) are the coefficients of the Sheffer polynomials.
+one common denominator.  The pairing route, `connection_rows` (one
+source, many targets), reads the stored integer numerators of the
+prefactor and l(fbar) and builds each power by integer convolution, or
+by a plain shift when l(fbar) is the series t (Appell targets).  The
+solve route inverts a triangular basis once, `monomial_expansion`, so
+that expressing any polynomial in it is one integer row-times-matrix
+product, `solve_rows`.  Both give each row as a canonical
+``(numerators, denominator)`` pair: the ``bases`` verifier compares rows
+as pairs, and the command line makes one `Fraction` per constant from
+the pairing route's rows.  `sheffer_polynomials` reads the pairing route
+too: by Roman's coefficient formula, the rows into the monomial pair
+(1, t) are the coefficients of the Sheffer polynomials.
 Only the row representation is shared: the pairing route reads only
 the two Sheffer pairs and the solve route only the integer numerators of
 the polynomials and the basis.  Neither calls the other or any
@@ -50,7 +49,6 @@ __all__ = [
     "sheffer_polynomials",
     "sheffer_orthogonality_check",
     "appell_next",
-    "connection_constants",
     "connection_rows",
     "monomial_expansion",
     "solve_rows",
@@ -158,9 +156,9 @@ class ShefferPair:
 
 def sheffer_polynomials(pair: ShefferPair, n_max: int) -> list:
     """S_0..S_{n_max} for the pair (g, f), by Roman's coefficient formula
-    S_n(x) = sum_m (n!/m!) [t^n] g(fbar)^{-1} fbar^m x^m: the rows of
-    connection constants of (g, f) in the monomial pair (1, t)
-    (`connection_rows`), read as coefficients."""
+    S_n(x) = sum_m (n!/m!) [t^n] g(fbar)^{-1} fbar^m x^m: the canonical
+    rows of `connection_rows` from (g, f) into the monomial pair (1, t),
+    each read as the coefficients of one polynomial."""
     if pair.order < n_max + 1:
         raise ValueError("pair truncation order must be at least n_max + 1")
     monomials = ShefferPair(
@@ -208,16 +206,20 @@ def appell_next(pair: ShefferPair, s_n: Polynomial) -> Polynomial:
     return X * s_n - apply_operator(ratio, s_n)
 
 
-def _pairing_columns(source: ShefferPair, targets, n_max: int):
-    """Yield per target (h, l) the columns m = 0..n_max of the connection
-    constants of the source (g, f): the power (h(fbar)/g(fbar)) l(fbar)^m
-    as ``(numerators, den)``, so that C_{n,m} = (n!/m!) numerators[n] / den.
+def connection_rows(source: ShefferPair, targets, n_max: int) -> list:
+    """Lower-triangular constants C[n][m] expressing the source Sheffer
+    sequence in each of ``targets``, S_n(x) = sum_m C[n][m] r_m(x): per
+    target, the rows C[0..n_max] as canonical ``(numerators,
+    denominator)`` pairs (`polynomials._canonical_row`).
 
-    fbar, the compositional inverse of f, and 1/g(fbar) are computed once
-    for all targets.  Each power is integer numerators over one
-    denominator: the previous one shifted when l(fbar) is the series t
-    (Appell targets), else convolved with l(fbar)'s numerators, so every
-    column's denominator divides the next one's.
+    Computed from C_{n,m} = (n!/m!) [t^n] (h(fbar)/g(fbar)) l(fbar)^m,
+    where (g, f) is the source pair, (h, l) a target, and fbar the
+    compositional inverse of f; fbar and 1/g(fbar) are computed once for
+    all targets.  Column m, the power (h(fbar)/g(fbar)) l(fbar)^m, is
+    integer numerators over one denominator: the previous column shifted
+    when l(fbar) is the series t (Appell targets), else convolved with
+    l(fbar)'s numerators and reduced.  Row n is built over the lcm of the
+    denominators of columns 0..n.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -226,13 +228,13 @@ def _pairing_columns(source: ShefferPair, targets, n_max: int):
     fbar = source.f.comp_inverse()
     inverse = source.g.compose(fbar).invert()
     size = n_max + 1
+    out = []
     for target in targets:
         prefactor = target.g.compose(fbar) * inverse
         ell = target.f.compose(fbar)
         power, den = list(prefactor._num[:size]), prefactor._den
         is_shift = ell._is_identity()
-        if not is_shift:
-            ell_num, ell_den = ell._num, ell._den
+        ell_num, ell_den = ell._num, ell._den
         columns = [(power, den)]
         for m in range(n_max):
             if is_shift:
@@ -240,43 +242,15 @@ def _pairing_columns(source: ShefferPair, targets, n_max: int):
             else:
                 # power has valuation >= m and ell valuation 1, so the product's
                 # t^i coefficient for m < i is sum_{m <= j < i} power_j ell_{i-j}
-                power = [0] * (m + 1) + [
+                power, den = _canonical_row([0] * (m + 1) + [
                     sum(map(mul, power[m:i], ell_num[i - m:0:-1]))
                     for i in range(m + 1, size)
-                ]
-                den *= ell_den
+                ], den * ell_den)
             columns.append((power, den))
-        yield columns
-
-
-def connection_constants(source: ShefferPair, target: ShefferPair, n_max: int) -> list:
-    """Lower-triangular constants C[n][m] expressing the source Sheffer
-    sequence in the target one: S_n(x) = sum_m C[n][m] r_m(x).
-
-    Computed from C_{n,m} = (n!/m!) [t^n] (h(fbar)/g(fbar)) l(fbar)^m,
-    where (g, f) is the source pair, (h, l) the target, and fbar the
-    compositional inverse of f.  Each power is kept as integer numerators
-    over one denominator, and each constant is made one `Fraction`
-    straight from its column.
-    """
-    (columns,) = _pairing_columns(source, [target], n_max)
-    rows = [[] for _ in range(n_max + 1)]
-    for m, (power, den) in enumerate(columns):
-        for n in range(m, n_max + 1):
-            rows[n].append(Fraction(perm(n, n - m) * power[n], den))
-    return rows
-
-
-def connection_rows(source: ShefferPair, targets, n_max: int) -> list:
-    """`connection_constants` of one source in each of ``targets``, on
-    integers: per target, the rows C[0..n_max] as canonical
-    ``(numerators, denominator)`` pairs (`polynomials._canonical_row`),
-    each over the denominator of its last column."""
-    out = []
-    for columns in _pairing_columns(source, targets, n_max):
         rows = []
-        for n in range(n_max + 1):
-            top = columns[n][1]
+        top = 1
+        for n in range(size):
+            top = lcm(top, columns[n][1])
             rows.append(_canonical_row(
                 [perm(n, n - m) * power[n] * (top // den)
                  for m, (power, den) in enumerate(columns[: n + 1])],

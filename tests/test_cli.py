@@ -383,6 +383,89 @@ def test_latex_and_csv_output_match_recorded_bytes(command, name, fmt, capsys):
     assert capsys.readouterr().out == RENDERED_OUTPUT[command, name, fmt]
 
 
+#: The stdout of bases at degree 8 in the two targets whose l(fbar) is not
+#: the series t, so that each column of constants is a convolution; recorded
+#: when the CLI made each constant a Fraction straight from its column.
+CONVOLUTION_OUTPUT = {
+    ("falling", "json"): (
+        '{"target": "falling", "n": 0, "r": -1, "k": -2, "s": 2, "lambda": "-3/5", "mu": null, "constants": ["1"]}\n'
+        '{"target": "falling", "n": 1, "r": -1, "k": -2, "s": 2, "lambda": "-3/5", "mu": null, "constants": ["37/8", "1"]}\n'
+        '{"target": "falling", "n": 2, "r": -1, "k": -2, "s": 2, "lambda": "-3/5", "mu": null, "constants": ["157/8", "41/4", "1"]}\n'
+        '{"target": "falling", "n": 3, "r": -1, "k": -2, "s": 2, "lambda": "-3/5", "mu": null, "constants": ["643/8", "295/4", "135/8", "1"]}\n'
+        '{"target": "falling", "n": 4, "r": -1, "k": -2, "s": 2, "lambda": "-3/5", "mu": null, "constants": ["2593/8", "1835/4", "721/4", "49/2", "1"]}\n'
+        '{"target": "falling", "n": 5, "r": -1, "k": -2, "s": 2, "lambda": "-3/5", "mu": null, "constants": ["10387/8", "10579/4", "12555/8", "360", "265/8", "1"]}\n'
+        '{"target": "falling", "n": 6, "r": -1, "k": -2, "s": 2, "lambda": "-3/5", "mu": null, "constants": ["41497/8", "58331/4", "48769/4", "8315/2", "5095/8", "171/4", "1"]}\n'
+        '{"target": "falling", "n": 7, "r": -1, "k": -2, "s": 2, "lambda": "-3/5", "mu": null, "constants": ["165643/8", "312715/4", "705915/8", "41741", "37555/4", "4151/4", "427/8", "1"]}\n'
+        '{"target": "falling", "n": 8, "r": -1, "k": -2, "s": 2, "lambda": "-3/5", "mu": null, "constants": ["661153/8", "1645475/4", "2436781/4", "765849/2", "472269/4", "37947/2", "3185/2", "65", "1"]}\n'
+    ),
+    ("falling", "csv"): (
+        "target,n,r,k,s,lambda,mu,constants\n"
+        "falling,0,-1,-2,2,-3/5,,1\n"
+        "falling,1,-1,-2,2,-3/5,,37/8;1\n"
+        "falling,2,-1,-2,2,-3/5,,157/8;41/4;1\n"
+        "falling,3,-1,-2,2,-3/5,,643/8;295/4;135/8;1\n"
+        "falling,4,-1,-2,2,-3/5,,2593/8;1835/4;721/4;49/2;1\n"
+        "falling,5,-1,-2,2,-3/5,,10387/8;10579/4;12555/8;360;265/8;1\n"
+        "falling,6,-1,-2,2,-3/5,,41497/8;58331/4;48769/4;8315/2;5095/8;171/4;1\n"
+        "falling,7,-1,-2,2,-3/5,,165643/8;312715/4;705915/8;41741;37555/4;4151/4;427/8;1\n"
+        "falling,8,-1,-2,2,-3/5,,661153/8;1645475/4;2436781/4;765849/2;472269/4;37947/2;3185/2;65;1\n"
+    ),
+    ("falling", "latex"): (
+        "C_{0,\\cdot} = \\left[1\\right]\n"
+        "C_{1,\\cdot} = \\left[\\frac{37}{8}, 1\\right]\n"
+        "C_{2,\\cdot} = \\left[\\frac{157}{8}, \\frac{41}{4}, 1\\right]\n"
+        "C_{3,\\cdot} = \\left[\\frac{643}{8}, \\frac{295}{4}, \\frac{135}{8}, 1\\right]\n"
+        "C_{4,\\cdot} = \\left[\\frac{2593}{8}, \\frac{1835}{4}, \\frac{721}{4}, \\frac{49}{2}, 1\\right]\n"
+        "C_{5,\\cdot} = \\left[\\frac{10387}{8}, \\frac{10579}{4}, \\frac{12555}{8}, 360, \\frac{265}{8}, 1\\right]\n"
+        "C_{6,\\cdot} = \\left[\\frac{41497}{8}, \\frac{58331}{4}, \\frac{48769}{4}, \\frac{8315}{2}, \\frac{5095}{8}, \\frac{171}{4}, 1\\right]\n"
+        "C_{7,\\cdot} = \\left[\\frac{165643}{8}, \\frac{312715}{4}, \\frac{705915}{8}, 41741, \\frac{37555}{4}, \\frac{4151}{4}, \\frac{427}{8}, 1\\right]\n"
+        "C_{8,\\cdot} = \\left[\\frac{661153}{8}, \\frac{1645475}{4}, \\frac{2436781}{4}, \\frac{765849}{2}, \\frac{472269}{4}, \\frac{37947}{2}, \\frac{3185}{2}, 65, 1\\right]\n"
+    ),
+    ("rising", "json"): (
+        '{"target": "rising", "n": 0, "r": -1, "k": -2, "s": 2, "lambda": "-3/5", "mu": null, "constants": ["1"]}\n'
+        '{"target": "rising", "n": 1, "r": -1, "k": -2, "s": 2, "lambda": "-3/5", "mu": null, "constants": ["37/8", "1"]}\n'
+        '{"target": "rising", "n": 2, "r": -1, "k": -2, "s": 2, "lambda": "-3/5", "mu": null, "constants": ["157/8", "33/4", "1"]}\n'
+        '{"target": "rising", "n": 3, "r": -1, "k": -2, "s": 2, "lambda": "-3/5", "mu": null, "constants": ["643/8", "46", "87/8", "1"]}\n'
+        '{"target": "rising", "n": 4, "r": -1, "k": -2, "s": 2, "lambda": "-3/5", "mu": null, "constants": ["2593/8", "885/4", "277/4", "25/2", "1"]}\n'
+        '{"target": "rising", "n": 5, "r": -1, "k": -2, "s": 2, "lambda": "-3/5", "mu": null, "constants": ["10387/8", "991", "2895/8", "165/2", "105/8", "1"]}\n'
+        '{"target": "rising", "n": 6, "r": -1, "k": -2, "s": 2, "lambda": "-3/5", "mu": null, "constants": ["41497/8", "17073/4", "6859/4", "445", "655/8", "51/4", "1"]}\n'
+        '{"target": "rising", "n": 7, "r": -1, "k": -2, "s": 2, "lambda": "-3/5", "mu": null, "constants": ["165643/8", "17956", "61467/8", "2156", "1785/4", "133/2", "91/8", "1"]}\n'
+        '{"target": "rising", "n": 8, "r": -1, "k": -2, "s": 2, "lambda": "-3/5", "mu": null, "constants": ["661153/8", "297645/4", "132997/4", "19635/2", "8589/4", "777/2", "77/2", "9", "1"]}\n'
+    ),
+    ("rising", "csv"): (
+        "target,n,r,k,s,lambda,mu,constants\n"
+        "rising,0,-1,-2,2,-3/5,,1\n"
+        "rising,1,-1,-2,2,-3/5,,37/8;1\n"
+        "rising,2,-1,-2,2,-3/5,,157/8;33/4;1\n"
+        "rising,3,-1,-2,2,-3/5,,643/8;46;87/8;1\n"
+        "rising,4,-1,-2,2,-3/5,,2593/8;885/4;277/4;25/2;1\n"
+        "rising,5,-1,-2,2,-3/5,,10387/8;991;2895/8;165/2;105/8;1\n"
+        "rising,6,-1,-2,2,-3/5,,41497/8;17073/4;6859/4;445;655/8;51/4;1\n"
+        "rising,7,-1,-2,2,-3/5,,165643/8;17956;61467/8;2156;1785/4;133/2;91/8;1\n"
+        "rising,8,-1,-2,2,-3/5,,661153/8;297645/4;132997/4;19635/2;8589/4;777/2;77/2;9;1\n"
+    ),
+    ("rising", "latex"): (
+        "C_{0,\\cdot} = \\left[1\\right]\n"
+        "C_{1,\\cdot} = \\left[\\frac{37}{8}, 1\\right]\n"
+        "C_{2,\\cdot} = \\left[\\frac{157}{8}, \\frac{33}{4}, 1\\right]\n"
+        "C_{3,\\cdot} = \\left[\\frac{643}{8}, 46, \\frac{87}{8}, 1\\right]\n"
+        "C_{4,\\cdot} = \\left[\\frac{2593}{8}, \\frac{885}{4}, \\frac{277}{4}, \\frac{25}{2}, 1\\right]\n"
+        "C_{5,\\cdot} = \\left[\\frac{10387}{8}, 991, \\frac{2895}{8}, \\frac{165}{2}, \\frac{105}{8}, 1\\right]\n"
+        "C_{6,\\cdot} = \\left[\\frac{41497}{8}, \\frac{17073}{4}, \\frac{6859}{4}, 445, \\frac{655}{8}, \\frac{51}{4}, 1\\right]\n"
+        "C_{7,\\cdot} = \\left[\\frac{165643}{8}, 17956, \\frac{61467}{8}, 2156, \\frac{1785}{4}, \\frac{133}{2}, \\frac{91}{8}, 1\\right]\n"
+        "C_{8,\\cdot} = \\left[\\frac{661153}{8}, \\frac{297645}{4}, \\frac{132997}{4}, \\frac{19635}{2}, \\frac{8589}{4}, \\frac{777}{2}, \\frac{77}{2}, 9, 1\\right]\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("target, fmt", sorted(CONVOLUTION_OUTPUT))
+def test_bases_convolution_targets_match_recorded_bytes(target, fmt, capsys):
+    argv = ["bases", "--target", target, "--n-max", "8",
+            "--r", "-1", "--k", "-2", "--lambda", "-3/5", "--s", "2"]
+    assert main(argv + ["--format", fmt]) == 0
+    assert capsys.readouterr().out == CONVOLUTION_OUTPUT[target, fmt]
+
+
 def test_verify_sets_accepted_space_separated(capsys):
     outputs = []
     for sets in (["--r-set", "-2,-1", "--lambda-set", "-1,2,1/2"],

@@ -10,7 +10,7 @@ from math import comb, gcd
 
 import pytest
 
-from umbralcalc import identities, umbral
+from umbralcalc import families, identities, polynomials, series, umbral
 from umbralcalc.families import (
     bernoulli_kernel,
     family_numbers,
@@ -21,7 +21,6 @@ from umbralcalc.families import (
 from umbralcalc.polynomials import Polynomial, _canonical_row, _common_denominator
 from umbralcalc.umbral import (
     VerificationReport,
-    connection_constants,
     connection_rows,
     monomial_expansion,
     sheffer_orthogonality_check,
@@ -764,7 +763,7 @@ def test_integer_summation_matches_fraction_reference(r, k, lam):
     t_nums = family_numbers("mixed-T", n_top, r, k, lam)
     values = [[t(j) for j in range(s_max + 1)] for t in t_polys]
     int_nums = _common_denominator(t_nums)
-    int_values = identities._integer_rows(values)
+    int_values = identities._integer_rows([_common_denominator(row) for row in values])
     seen = set()
     for name, s, mu, basis, (basis_rows, basis_den), _ in shared["instances"]:
         seen.add((name, s, mu))
@@ -794,9 +793,10 @@ def test_integer_summation_matches_fraction_reference(r, k, lam):
 
 @pytest.mark.parametrize("n_max", [0, 1, 12, 16])
 def test_public_constants_render_the_integer_rows_of_bases(n_max):
-    # bases compares the integer rows; the CLI and the oracle tests read the
-    # public Fraction rows, which must be the same constants, in every
-    # target and past the default degree for falling and rising
+    # bases compares the integer rows of every target at once; the CLI
+    # renders the rows of one target as Fractions, which must be the same
+    # constants, in every target and past the default degree for falling
+    # and rising
     r, k, lam = 2, -3, Fraction(-3, 5)
     order = max(n_max, 1)
     source = appell_pair(mixed_kernel(r, k, lam, order))
@@ -806,7 +806,7 @@ def test_public_constants_render_the_integer_rows_of_bases(n_max):
         by_target = connection_rows(source, targets, n_max)
         assert len(by_target) == len(TARGETS)
         for (name, spec), target, rows in zip(TARGETS.items(), targets, by_target):
-            constants = connection_constants(source, target, n_max)
+            constants = [rendered(row) for row in connection_rows(source, [target], n_max)[0]]
             assert [rendered(row) for row in rows] == constants, name
             solved = solve_rows(t_polys, monomial_expansion(spec.basis(s, mu, n_max)))
             assert [rendered(row) for row in solved[:-1]] == constants, name
@@ -826,6 +826,16 @@ def test_bases_integer_entries_are_public_umbral_names():
     }
     assert {"connection_rows", "solve_rows"} <= called
     assert called <= set(umbral.__all__)
+
+
+@pytest.mark.parametrize(
+    "module", [polynomials, series, families, umbral, identities], ids=lambda m: m.__name__
+)
+def test_every_name_in_all_resolves(module):
+    # the benchmark's tracer reads every name in a library module's __all__
+    # with getattr, so a name left there after its definition is gone
+    # breaks every traced run
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 # --- the integer alternating-shift sums against the Polynomial loops --------

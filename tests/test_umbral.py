@@ -24,7 +24,6 @@ from umbralcalc.umbral import (
     VerificationReport,
     appell_next,
     apply_operator,
-    connection_constants,
     connection_rows,
     monomial_expansion,
     pairing,
@@ -166,7 +165,7 @@ def test_operator_lowers_sheffer_degree():
 def test_connection_constants_identity_case():
     order = 10
     pair = ShefferPair(TruncatedSeries.constant(1, order), exp_minus_one(order))
-    rows = connection_constants(pair, pair, 5)
+    rows = rendered(connection_rows(pair, [pair], 5)[0])
     for n, row in enumerate(rows):
         assert row == [Fraction(int(m == n)) for m in range(n + 1)]
 
@@ -176,7 +175,7 @@ def test_connection_constants_monomials_to_falling_is_stirling():
     one = TruncatedSeries.constant(1, order)
     monomials = ShefferPair(one, TruncatedSeries.identity(order))
     falling = ShefferPair(one, exp_minus_one(order))
-    rows = connection_constants(monomials, falling, 8)
+    rows = rendered(connection_rows(monomials, [falling], 8)[0])
     triangle = stirling2_triangle(8)
     assert rows == [[Fraction(v) for v in triangle[n]] for n in range(9)]
     basis = [falling_factorial(m) for m in range(9)]
@@ -191,7 +190,7 @@ def test_connection_constants_mixed_to_falling_matches_closed_form():
         mixed_kernel(r, k, lam, order).invert(), TruncatedSeries.identity(order)
     )
     target = ShefferPair(TruncatedSeries.constant(1, order), exp_minus_one(order))
-    rows = connection_constants(source, target, n)
+    rows = rendered(connection_rows(source, [target], n)[0])
     nums = family_numbers("mixed-T", n, r, k, lam)
     triangle = stirling2_triangle(n)
     closed = [
@@ -278,7 +277,7 @@ def test_connection_constants_truncate_exactly(n):
 
     def constants(name, order):
         source = appell_pair(mixed_kernel(r, k, lam, order))
-        return connection_constants(source, TARGETS[name].pair(s, mu, order), n)
+        return rendered(connection_rows(source, [TARGETS[name].pair(s, mu, order)], n)[0])
 
     for name in TARGETS:
         assert constants(name, max(n, 1)) == constants(name, n + 3)
@@ -287,8 +286,8 @@ def test_connection_constants_truncate_exactly(n):
 # --- the integer pairing and solve sides against the Fraction code -----------
 
 def fraction_connection_constants(source, target, n_max):
-    """`connection_constants` with one `Fraction` operation per term, as it
-    was before the pairing side ran on integer numerators."""
+    """The pairing route's constants with one `Fraction` operation per
+    term, as they were before the pairing side ran on integer numerators."""
     fbar = source.f.comp_inverse()
     prefactor = target.g.compose(fbar) * source.g.compose(fbar).invert()
     ell = target.f.compose(fbar)
@@ -320,8 +319,8 @@ def fraction_expand_in_basis(polys_to_expand, basis):
     return rows
 
 
-def all_fractions(rows):
-    return all(type(c) is Fraction for row in rows for c in row)
+def all_canonical(integer_rows):
+    return all(den > 0 and gcd(den, *nums) == 1 for nums, den in integer_rows)
 
 
 def rendered(integer_rows):
@@ -344,12 +343,12 @@ def test_integer_sides_match_fraction_oracles_on_every_instance(r, k, lam):
         assert len(shared["expansions"]) == len(shared["instances"]) == 32
         for instance, expansion in zip(shared["instances"], shared["expansions"]):
             _, _, _, basis, _, target = instance
-            pairing_rows = connection_constants(source, target, n_max)
-            assert pairing_rows == fraction_connection_constants(source, target, n_max)
+            (pairing_rows,) = connection_rows(source, [target], n_max)
+            assert rendered(pairing_rows) == fraction_connection_constants(source, target, n_max)
             solved = solve_rows(t_polys, expansion)
             assert rendered(solved) == fraction_expand_in_basis(t_polys, basis)
             assert solve_rows(t_polys, monomial_expansion(basis)) == solved
-            assert all_fractions(pairing_rows)
+            assert all_canonical(pairing_rows)
 
 
 SHEFFER_ORDER = 6
@@ -371,12 +370,9 @@ delta_series = st.tuples(
 def test_integer_pairing_matches_fraction_oracle_on_general_pairs(source, target, n_max):
     # a source f other than t takes the general compositional inverse,
     # which the Appell sources of `bases` never reach
-    rows = connection_constants(source, target, n_max)
-    assert rows == fraction_connection_constants(source, target, n_max)
-    assert all_fractions(rows)
     (integer_rows,) = connection_rows(source, [target], n_max)
-    assert rendered(integer_rows) == rows
-    assert all(den > 0 and gcd(den, *nums) == 1 for nums, den in integer_rows)
+    assert rendered(integer_rows) == fraction_connection_constants(source, target, n_max)
+    assert all_canonical(integer_rows)
 
 
 triangular_bases = st.integers(0, 5).flatmap(
@@ -394,7 +390,7 @@ def test_integer_solve_matches_fraction_oracle_on_general_bases(basis, to_expand
     to_expand = [p for p in to_expand if p.degree < len(basis)]
     rows = solve_rows(to_expand, monomial_expansion(basis))
     assert rendered(rows) == fraction_expand_in_basis(to_expand, basis)
-    assert all(den > 0 and gcd(den, *nums) == 1 for nums, den in rows)
+    assert all_canonical(rows)
 
 
 def test_bases_tasks_leave_the_shared_data_out():
