@@ -6,15 +6,25 @@ generating-function expansion on one side and closed-form summation,
 umbral pairing, or an exact triangular linear solve on the other.  All
 comparisons are exact rational equality; there is no tolerance anywhere.
 
-The closed-form summation sides (the connection constants and the basis
-reconstruction of ``bases``, thm1-2's triple-sum and coefficient forms,
-thm5's weights and thm6's alternating sums) run fraction-free: their
-rational inputs are brought once per task to integer numerators over one
-common denominator, each output value is an integer sum divided once, and
-a polynomial output is built from its integer coefficients directly.  A
-row of connection constants never becomes `Fraction` values: all three
-sides of ``bases`` give it as a canonical ``(numerators, denominator)`` pair
-(`polynomials._canonical_row`), so rows compare as pairs and only a
+The closed-form summation sides run fraction-free: the connection
+constants and the basis reconstruction of ``bases``, thm1-2's triple-sum
+and coefficient forms, the Bernoulli-weighted sums of thm3 and thm4,
+thm5's Stirling-weighted sum, foundations' two convolutions and its
+binomial expansion, and thm6's alternating sums.  Their rational inputs
+are brought once per task to integer numerators over one common
+denominator (a list of polynomials to integer coefficient rows,
+``_polynomial_rows``), each output value is an integer sum divided once,
+and a polynomial sum is one integer combination of rows (``_combine``)
+made into a polynomial once (``_make``).  Sums that depend on no degree
+run once per task, or once per target instance in ``bases``: thm1-2's
+Stirling weights, thm5's weights, and the sums S_j of an Appell target's
+constants C_{n,m} = C(n, m) S_{n-m}; a degree pays only for the terms
+that read it.  The remaining terms of the recurrences, such as
+(x - r) T_n, stay `Polynomial` operations.
+
+A row of connection constants never becomes `Fraction` values: all three
+sides of ``bases`` give it as a canonical ``(numerators, denominator)``
+pair (`polynomials._canonical_row`), so rows compare as pairs and only a
 counterexample's text renders the fractions.  Only the scalar and row
 representations are shared with the `Polynomial` core; each side keeps
 its own formula and never calls the kernel expansion, pairing or
@@ -322,7 +332,16 @@ def _closed_forms(h, k, ns, checks):
     given as ``(integer numerators, den)`` through max(ns).  With h the
     Frobenius-Euler numbers of order r this is T_n^(r,k); with
     h = (1, 0, ..., 0), those of order 0, it is B_n^(k), and the two forms
-    are the alternating-shift and partition-sum actions on x^n."""
+    are the alternating-shift and partition-sum actions on x^n.
+
+    Both forms sum on integers, and each degree's form is made as one
+    polynomial from its integer coefficients.  The triple-sum form weights
+    the shifted row sum_l C(n, l) h_{n-l} (x - j)^l by (-1)^j
+    sum_{m=j..n} (m + 1)^(-k) C(m, j), the m and j sums swapped; it reads
+    the shifted powers and no Stirling number.  The coefficient form reads
+    the weights W_d = sum_m (-1)^(d-m) m! (m + 1)^(-k) S2(d, m) and the
+    products C(j, l) h_{j-l}, which depend on no degree and are computed
+    once per call, and no shifted power."""
     h_ints, h_den = h
     n_top = max(ns)
     s2 = stirling2_triangle(n_top)
@@ -331,30 +350,26 @@ def _closed_forms(h, k, ns, checks):
     fact_ints, fact_den = _common_denominator(
         [factorial(m) * w for m, w in enumerate(inv_weights)]
     )
+    partition_weights = [
+        sum((-1) ** (d - m) * fact_ints[m] * s2[d][m] for m in range(d + 1))
+        for d in range(n_top + 1)
+    ]
+    # binomial_h[l][j - l] = C(j, l) h_{j-l}
+    binomial_h = [
+        [comb(j, l) * h_ints[j - l] for j in range(l, n_top + 1)] for l in range(n_top + 1)
+    ]
     powers = _shifted_power_table(n_top)
     for n in ns:
         h_weights = [comb(n, l) * h_ints[n - l] for l in range(n + 1)]
         shifted = [_combine(h_weights, powers[j], n + 1) for j in range(n + 1)]
-        # sum_m inv_m sum_{j<=m} (-1)^j C(m, j) shifted[j]
-        alternating = [
-            _combine([comb(m, j) * (-1) ** j for j in range(m + 1)], shifted, n + 1)
-            for m in range(n + 1)
+        shift_weights = [
+            (-1) ** j * sum(inv_ints[m] * comb(m, j) for m in range(j, n + 1))
+            for j in range(n + 1)
         ]
-        yield n, checks[0], _make(_combine(inv_ints, alternating, n + 1), h_den * inv_den)
-        coeffs = []
-        for l in range(n + 1):
-            total = 0
-            for j in range(l, n + 1):
-                h = h_ints[j - l]
-                if not h:
-                    continue
-                outer = comb(n, j) * comb(j, l) * h
-                for m in range(n - j + 1):
-                    v = s2[n - j][m]
-                    if v:
-                        term = outer * fact_ints[m] * v
-                        total += term if (n - m - j) % 2 == 0 else -term
-            coeffs.append(total)
+        yield n, checks[0], _make(_combine(shift_weights, shifted, n + 1), h_den * inv_den)
+        # coefficient l: sum_{j>=l} C(j, l) h_{j-l} C(n, j) W_{n-j}
+        outer = [comb(n, j) * partition_weights[n - j] for j in range(n + 1)]
+        coeffs = [sum(map(mul, binomial_h[l], outer[l:])) for l in range(n + 1)]
         yield n, checks[1], _make(coeffs, h_den * fact_den)
 
 
@@ -376,16 +391,15 @@ def _step_recurrence_task(r, k, lam, ns):
     t_rk = family_polys("mixed-T", n_top + 1, r, k, lam)
     t_up = family_polys("mixed-T", n_top, r + 1, k, lam)
     t_dn = family_polys("mixed-T", n_top + 1, r, k - 1, lam)
-    bern = family_numbers("bernoulli", n_top + 1, 1)
+    bern_ints, bern_den = _common_denominator(family_numbers("bernoulli", n_top + 1, 1))
+    diff_rows, diff_den = _polynomial_rows([a - b for a, b in zip(t_rk, t_dn)])
     coef = Fraction(r) * lam / (1 - lam)
     for n in ns:
         rhs = (X - r) * t_rk[n] - coef * t_up[n]
-        acc = Polynomial()
-        for l in range(n + 2):
-            b = bern[l]
-            if b:
-                acc = acc + comb(n + 1, l) * b * (t_rk[n + 1 - l] - t_dn[n + 1 - l])
-        rhs = rhs - acc / (n + 1)
+        # sum_l C(n + 1, l) B_l (T_{n+1-l} - T^(r,k-1)_{n+1-l}) / (n + 1)
+        weights = [comb(n + 1, l) * bern_ints[l] for l in range(n + 2)]
+        correction = _combine(weights, diff_rows[n + 1::-1], n + 2)
+        rhs = rhs - _make(correction, (n + 1) * bern_den * diff_den)
         yield n, "step recurrence", rhs, t_rk[n + 1], {}
 
 
@@ -397,18 +411,16 @@ def _derived_recurrence_task(r, k, lam, ns):
     t_rk = family_polys("mixed-T", n_top, r, k, lam)
     t_up = family_polys("mixed-T", n_top - 1, r + 1, k, lam)
     t_dn = family_polys("mixed-T", n_top, r, k - 1, lam)
-    bern = family_numbers("bernoulli", n_top, 1)
+    bern_ints, bern_den = _common_denominator(family_numbers("bernoulli", n_top, 1))
+    rk_rows, rk_den = _polynomial_rows(t_rk)
+    dn_rows, dn_den = _polynomial_rows(t_dn)
     for n in ns:
+        # sum_l C(n, l) B_{n-l} T_l, for l <= n - 2 on the left, l <= n on the right
+        weights = [comb(n, l) * bern_ints[n - l] for l in range(n + 1)]
         lhs = (n + 1) * t_rk[n] + n * ((Fraction(r) - Fraction(1, 2)) - X) * t_rk[n - 1]
-        for l in range(n - 1):
-            b = bern[n - l]
-            if b:
-                lhs = lhs + comb(n, l) * b * t_rk[l]
+        lhs = lhs + _make(_combine(weights[:n - 1], rk_rows, n - 1), bern_den * rk_den)
         rhs = -(Fraction(r) * lam * n / (1 - lam)) * t_up[n - 1]
-        for l in range(n + 1):
-            b = bern[n - l]
-            if b:
-                rhs = rhs + comb(n, l) * b * t_dn[l]
+        rhs = rhs + _make(_combine(weights, dn_rows, n + 1), bern_den * dn_den)
         yield n, "derived recurrence", lhs, rhs, {}
 
 
@@ -419,27 +431,24 @@ def _derivative_expansion_task(r, k, lam, ns):
     n_top = max(ns)
     t_rk = family_polys("mixed-T", n_top, r, k, lam)
     t_up = family_polys("mixed-T", n_top - 1, r + 1, k, lam)
-    h_shift = [h.shift(-1) for h in family_polys("frobenius-euler", n_top - 1, r, lam)]
+    h_rows, h_den = _polynomial_rows(
+        [h.shift(-1) for h in family_polys("frobenius-euler", n_top - 1, r, lam)]
+    )
     s2 = stirling2_triangle(n_top - 1)
     fact_ints, fact_den = _common_denominator(
         [factorial(m + 1) * Fraction(m + 2) ** (-k) for m in range(n_top)]
     )
-    weights = []
-    for d in range(n_top):
-        w = 0
-        for m in range(d + 1):
-            v = s2[d][m]
-            if v:
-                term = fact_ints[m] * v
-                w += -term if m % 2 else term
-        weights.append(Fraction(w, fact_den))
+    # (-1)^d sum_m (-1)^m (m + 1)! (m + 2)^(-k) S2(d, m), over fact_den
+    weights = [
+        (-1) ** d * sum((-1) ** m * fact_ints[m] * s2[d][m] for m in range(d + 1))
+        for d in range(n_top)
+    ]
     coef = Fraction(r) * lam / (1 - lam)
     for n in ns:
         rhs = (X - r) * t_rk[n - 1] - coef * t_up[n - 1]
-        for l in range(n):
-            d = n - 1 - l
-            term = comb(n - 1, l) * weights[d] * h_shift[l]
-            rhs = rhs + (term if d % 2 == 0 else -term)
+        # sum_l C(n - 1, l) weights[n - 1 - l] H_l(x - 1)
+        terms = [comb(n - 1, l) * w for l, w in enumerate(weights[n - 1::-1])]
+        rhs = rhs + _make(_combine(terms, h_rows, n), fact_den * h_den)
         yield n, "derivative expansion", rhs, t_rk[n], {}
 
 
@@ -539,6 +548,12 @@ def _integer_rows(pairs) -> tuple:
     return [[c * (den // d) for c in num] for num, d in pairs], den
 
 
+def _polynomial_rows(polys) -> tuple:
+    """The coefficients of ``polys`` as `_integer_rows`: integer rows,
+    lowest power first, over one positive denominator."""
+    return _integer_rows([(p._num, p._den) for p in polys])
+
+
 @lru_cache(maxsize=1)
 def _basis_instances(grid: SweepGrid, n_top: int) -> dict:
     """Target data shared by every (r, k, lambda) task, per basis instance
@@ -555,7 +570,7 @@ def _basis_instances(grid: SweepGrid, n_top: int) -> dict:
         for s in grid.s_values if "s" in target.needs else (None,):
             for mu in grid.mu_values if "mu" in target.needs else (None,):
                 basis = target.basis(s, mu, n_top)
-                rows = _integer_rows([(p._num, p._den) for p in basis])
+                rows = _polynomial_rows(basis)
                 instances.append((name, s, mu, basis, rows, target.pair(s, mu, order)))
                 expansions.append(monomial_expansion(basis))
     return {
@@ -568,32 +583,26 @@ def _basis_instances(grid: SweepGrid, n_top: int) -> dict:
     }
 
 
-def _summation_constants(basis_name, s, mu, n, t_nums, values, s2) -> tuple:
-    """Closed-form connection constants of the mixed family in the given
-    target basis, for a single degree n.
+def _appell_sums(basis_name, s, mu, n_top, t_nums, values, s2):
+    """The degree-free sums of the closed-form connection constants in an
+    Appell target basis (bernoulli, euler, frobenius-euler), computed once
+    per target instance, or None for the falling and rising bases.
 
-    ``t_nums`` holds the mixed numbers T_0..T_n as (integer numerators,
-    common denominator) and ``values`` the table T_i(j), j = 0..s or
-    beyond, as (integer rows, common denominator); every constant is an
-    integer sum over the row's one denominator, and the row is returned
-    as a canonical ``(numerators, denominator)`` pair."""
+    In an Appell basis C_{n,m} = C(n, m) S_{n-m}, where S_j depends on j
+    alone; this gives S_0..S_{n_top} as (integers, denominator).
+    ``t_nums`` holds the mixed numbers T_0..T_{n_top} as (integer
+    numerators, common denominator) and ``values`` the table T_i(j),
+    j = 0..s or beyond, as (integer rows, common denominator)."""
     nums, den = t_nums
     if basis_name == "bernoulli":
         # L / C(s + l, l) is an integer for L the lcm of the binomials
-        binoms = [comb(s + l, l) for l in range(n + 1)]
+        binoms = [comb(s + l, l) for l in range(n_top + 1)]
         scale = lcm(*binoms)
         weights = [scale // b * s2[l + s][s] for l, b in enumerate(binoms)]
-        return _canonical_row(
-            [
-                comb(n, m)
-                * sum(
-                    comb(n - m, l) * weights[l] * nums[n - m - l]
-                    for l in range(n - m + 1)
-                )
-                for m in range(n + 1)
-            ],
-            scale * den,
-        )
+        return [
+            sum(comb(j, l) * weights[l] * nums[j - l] for l in range(j + 1))
+            for j in range(n_top + 1)
+        ], scale * den
     if basis_name in ("euler", "frobenius-euler"):
         table, table_den = values
         if basis_name == "euler":
@@ -605,10 +614,24 @@ def _summation_constants(basis_name, s, mu, n, t_nums, values, s2) -> tuple:
             p, q = mu.numerator, mu.denominator
             weights = [comb(s, j) * (-p) ** (s - j) * q**j for j in range(s + 1)]
             scale = (q - p) ** s
-        return _canonical_row(
-            [comb(n, m) * sum(map(mul, weights, table[n - m])) for m in range(n + 1)],
-            scale * table_den,
-        )
+        return [sum(map(mul, weights, row)) for row in table[:n_top + 1]], scale * table_den
+    return None
+
+
+def _summation_constants(basis_name, s, mu, n, t_nums, sums, s2) -> tuple:
+    """Closed-form connection constants of the mixed family in the given
+    target basis, for a single degree n, as a canonical ``(numerators,
+    denominator)`` pair: every constant is an integer sum over the row's
+    one denominator.
+
+    ``sums`` is `_appell_sums` of the instance.  An Appell target's row is
+    C(n, m) S_{n-m}, which reads nothing else; the falling and rising rows
+    sum the mixed numbers ``t_nums`` (integer numerators, common
+    denominator) against the Stirling numbers ``s2`` per degree."""
+    if sums is not None:
+        totals, den = sums
+        return _canonical_row([comb(n, m) * totals[n - m] for m in range(n + 1)], den)
+    nums, den = t_nums
     signed = basis_name == "rising"
     row = []
     for m in range(n + 1):
@@ -646,6 +669,7 @@ def _basis_task(r, k, lam, ns, grid):
     by_target = connection_rows(source, [instance[5] for instance in instances], n_top)
     for instance, expansion, pairing_rows in zip(instances, shared["expansions"], by_target):
         basis_name, s, mu, _, (basis_rows, basis_den), _ = instance
+        sums = _appell_sums(basis_name, s, mu, n_top, t_nums, values, s2)
         solved_rows = solve_rows(t_polys, expansion)
         extra = {"basis": basis_name}
         if s is not None:
@@ -653,7 +677,7 @@ def _basis_task(r, k, lam, ns, grid):
         if mu is not None:
             extra["mu"] = str(mu)
         for n in ns:
-            row = _summation_constants(basis_name, s, mu, n, t_nums, values, s2)
+            row = _summation_constants(basis_name, s, mu, n, t_nums, sums, s2)
             yield n, "summation vs pairing constants", row, pairing_rows[n], extra
             yield n, "summation vs solved constants", row, solved_rows[n], extra
             rebuilt = _reconstruct(row, basis_rows, basis_den)
@@ -668,9 +692,10 @@ def _foundations_task(r, k, lam, ns):
     t_polys = family_polys("mixed-T", n_top, r, k, lam)
     t_zero = family_polys("mixed-T", n_top, 0, k, lam)
     pb_polys = family_polys("poly-bernoulli", n_top, k)
-    pb_nums = family_numbers("poly-bernoulli", n_top, k)
-    h_polys = family_polys("frobenius-euler", n_top, r, lam)
-    h_nums = family_numbers("frobenius-euler", n_top, r, lam)
+    pb_rows, pb_rows_den = _polynomial_rows(pb_polys)
+    pb_ints, pb_den = _common_denominator(family_numbers("poly-bernoulli", n_top, k))
+    h_rows, h_rows_den = _polynomial_rows(family_polys("frobenius-euler", n_top, r, lam))
+    h_ints, h_den = _common_denominator(family_numbers("frobenius-euler", n_top, r, lam))
     # polys_from_kernel builds H_n by the binomial formula itself, so the
     # binomial expansion is checked against Roman's coefficient formula:
     # the pairing columns of the Appell pair (1/kernel, t), which invert
@@ -686,16 +711,18 @@ def _foundations_task(r, k, lam, ns):
     for n in ns:
         if n >= 1:
             yield n, "derivative rule", t_polys[n].derivative(), n * t_polys[n - 1], {}
-        conv_a = Polynomial()
-        for l in range(n + 1):
-            conv_a = conv_a + comb(n, l) * h_nums[n - l] * pb_polys[l]
+        binoms = [comb(n, l) for l in range(n + 1)]
+        # C(n, l) H_{n-l}: the convolution sum_l C(n, l) H_{n-l} PB_l(x)
+        # weights the poly-Bernoulli rows, and the binomial expansion is the
+        # polynomial with these coefficients
+        h_weights = [b * h for b, h in zip(binoms, h_ints[n::-1])]
+        conv_a = _make(_combine(h_weights, pb_rows, n + 1), h_den * pb_rows_den)
         yield n, "number/polynomial convolution", conv_a, t_polys[n], {}
-        conv_b = Polynomial()
-        for l in range(n + 1):
-            conv_b = conv_b + comb(n, l) * pb_nums[l] * h_polys[n - l]
+        # sum_l C(n, l) PB_l H_{n-l}(x)
+        pb_weights = [b * p for b, p in zip(binoms, pb_ints)]
+        conv_b = _make(_combine(pb_weights, h_rows[n::-1], n + 1), pb_den * h_rows_den)
         yield n, "polynomial/number convolution", conv_b, t_polys[n], {}
-        binomial = Polynomial([comb(n, l) * h_nums[n - l] for l in range(n + 1)])
-        yield n, "binomial expansion", binomial, h_series[n], {}
+        yield n, "binomial expansion", _make(h_weights, h_den), h_series[n], {}
         for _ in range(2):
             _, check, form = next(actions)
             yield n, check, form, pb_polys[n], {}

@@ -68,8 +68,8 @@ def _inject_defects(patch):
             out[2] = out[2] + 1
         return out
 
-    def bad_constants(basis_name, s, mu, n, t_nums, values, s2):
-        row = constants(basis_name, s, mu, n, t_nums, values, s2)
+    def bad_constants(basis_name, s, mu, n, t_nums, sums, s2):
+        row = constants(basis_name, s, mu, n, t_nums, sums, s2)
         if basis_name in ("euler", "rising") and n == 4:
             nums, den = row
             entries = [Fraction(c, den) for c in nums]

@@ -6,7 +6,7 @@ import multiprocessing
 from contextlib import closing
 from dataclasses import replace
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, factorial, gcd
 
 import pytest
 
@@ -767,9 +767,12 @@ def test_integer_summation_matches_fraction_reference(r, k, lam):
     seen = set()
     for name, s, mu, basis, (basis_rows, basis_den), _ in shared["instances"]:
         seen.add((name, s, mu))
+        sums = identities._appell_sums(name, s, mu, n_top, int_nums, int_values, s2)
+        # the degree-free sums are the Appell targets' alone
+        assert (sums is None) == (name in ("falling", "rising"))
         for n in range(n_top + 1):
             expected = fraction_summation_constants(name, s, mu, n, t_nums, values, s2)
-            row = identities._summation_constants(name, s, mu, n, int_nums, int_values, s2)
+            row = identities._summation_constants(name, s, mu, n, int_nums, sums, s2)
             assert_canonical(row)
             assert rendered(row) == expected, (name, s, mu, n)
             # the true row rebuilds T_n; a perturbed one any other combination
@@ -782,8 +785,9 @@ def test_integer_summation_matches_fraction_reference(r, k, lam):
         # the zero family gives the zero row: all zeros over 1
         zero_nums = ([0] * (n_top + 1), 7)
         zero_values = ([[0] * (s_max + 1) for _ in range(n_top + 1)], 5)
+        zero_sums = identities._appell_sums(name, s, mu, n_top, zero_nums, zero_values, s2)
         for n in (0, n_top):
-            zero = identities._summation_constants(name, s, mu, n, zero_nums, zero_values, s2)
+            zero = identities._summation_constants(name, s, mu, n, zero_nums, zero_sums, s2)
             assert zero == ([0] * (n + 1), 1)
     assert {name for name, _, _ in seen} == set(TARGETS)
     assert {(s, mu) for name, s, mu in seen if name == "frobenius-euler"} == {
@@ -826,6 +830,53 @@ def test_bases_integer_entries_are_public_umbral_names():
     }
     assert {"connection_rows", "solve_rows"} <= called
     assert called <= set(umbral.__all__)
+
+
+def _off_by_one(row):
+    """A canonical row of constants with entry 1 raised by 1, which keeps
+    it canonical."""
+    nums, den = row
+    return [nums[0], nums[1] + den, *nums[2:]], den
+
+
+@pytest.mark.parametrize(
+    "route, failing",
+    [
+        ("connection_rows", {"summation vs pairing constants"}),
+        ("solve_rows", {"summation vs solved constants"}),
+        ("_summation_constants", {"summation vs pairing constants",
+                                  "summation vs solved constants", "basis reconstruction"}),
+    ],
+)
+def test_every_side_of_bases_takes_part_in_its_check(monkeypatch, route, failing):
+    # a defect in one side's own route must fail the checks that read that
+    # side and no other; a check that compared two other sides would miss it
+    original = getattr(identities, route)
+    n_bad = 3
+
+    def bump(rows):
+        return rows[:n_bad] + [_off_by_one(rows[n_bad])] + rows[n_bad + 1:]
+
+    if route == "connection_rows":
+        def perturbed(source, targets, n_max):
+            return [bump(rows) for rows in original(source, targets, n_max)]
+    elif route == "solve_rows":
+        def perturbed(polys, expansion):
+            return bump(original(polys, expansion))
+    else:
+        def perturbed(basis_name, s, mu, n, t_nums, sums, s2):
+            row = original(basis_name, s, mu, n, t_nums, sums, s2)
+            return _off_by_one(row) if n == n_bad else row
+
+    monkeypatch.setattr(identities, route, perturbed)
+    grid = replace(SMALL, n_max=4, r_values=(2,), k_values=(-2,))
+    report = VERIFIERS["bases"](grid, collect_all=True)
+    assert {c["check"] for c in report.counterexamples} == failing
+    assert {c["n"] for c in report.counterexamples} == {n_bad}
+    # every basis instance of every point fails each of those checks once
+    instances = len(identities._basis_instances(grid, grid.n_max)["instances"])
+    points = len(grid.lambda_values)
+    assert len(report.counterexamples) == len(failing) * instances * points
 
 
 @pytest.mark.parametrize(
@@ -885,6 +936,25 @@ def polynomial_alternating_shift(n, inv_weights, powers):
     return alternating
 
 
+def fraction_coefficient_form(n, h_nums, k):
+    """thm1-2's coefficient form with one `Fraction` operation per term and
+    the inner Stirling sum taken again at every degree, as the verifier
+    computed it before it summed over the integers."""
+    s2 = stirling2_triangle(n)
+    coeffs = []
+    for l in range(n + 1):
+        total = Fraction(0)
+        for j in range(l, n + 1):
+            for m in range(n - j + 1):
+                term = (
+                    comb(n, j) * comb(j, l) * h_nums[j - l]
+                    * factorial(m) * Fraction(m + 1) ** (-k) * s2[n - j][m]
+                )
+                total += term if (n - j - m) % 2 == 0 else -term
+        coeffs.append(total)
+    return Polynomial(coeffs)
+
+
 def test_shifted_power_table_holds_integer_coefficients():
     table = identities._shifted_power_table(7)
     for row, reference in zip(table, polynomial_shifted_power_table(7)):
@@ -911,6 +981,100 @@ def test_integer_alternating_shifts_match_polynomial_reference(r, k, lam):
         assert triple == polynomial_triple_sum(n, h_nums, inv_weights, powers) == t_poly
         action, pb_poly = sides[n, "alternating-shift action"]
         assert action == polynomial_alternating_shift(n, inv_weights, powers) == pb_poly
+        form, _ = sides[n, "coefficient form"]
+        assert form == fraction_coefficient_form(n, h_nums, k) == t_poly
+        action, _ = sides[n, "partition-sum action"]
+        order_zero = [1] + [0] * n
+        assert action == fraction_coefficient_form(n, order_zero, k) == pb_poly
+
+
+# --- the integer recurrence and convolution sums against Polynomial loops ----
+
+def polynomial_sums(r, k, lam, n_top):
+    """The sides of thm3, thm4, thm5 and foundations' two convolutions that
+    sum on integers, with one `Polynomial` operation per term, as the
+    verifiers computed them before; keyed by (identity, n, check)."""
+    X = Polynomial.monomial(1)
+    t_rk = family_polys("mixed-T", n_top + 1, r, k, lam)
+    t_up = family_polys("mixed-T", n_top, r + 1, k, lam)
+    t_dn = family_polys("mixed-T", n_top + 1, r, k - 1, lam)
+    bern = family_numbers("bernoulli", n_top + 1, 1)
+    coef = Fraction(r) * lam / (1 - lam)
+    sides = {}
+    for n in range(n_top + 1):
+        rhs = (X - r) * t_rk[n] - coef * t_up[n]
+        acc = Polynomial()
+        for l in range(n + 2):
+            b = bern[l]
+            if b:
+                acc = acc + comb(n + 1, l) * b * (t_rk[n + 1 - l] - t_dn[n + 1 - l])
+        sides["thm3", n, "step recurrence"] = rhs - acc / (n + 1)
+    for n in range(2, n_top + 1):
+        lhs = (n + 1) * t_rk[n] + n * ((Fraction(r) - Fraction(1, 2)) - X) * t_rk[n - 1]
+        for l in range(n - 1):
+            b = bern[n - l]
+            if b:
+                lhs = lhs + comb(n, l) * b * t_rk[l]
+        rhs = -(Fraction(r) * lam * n / (1 - lam)) * t_up[n - 1]
+        for l in range(n + 1):
+            b = bern[n - l]
+            if b:
+                rhs = rhs + comb(n, l) * b * t_dn[l]
+        sides["thm4", n, "derived recurrence"] = (lhs, rhs)
+    h_polys = family_polys("frobenius-euler", n_top, r, lam)
+    h_shift = [h.shift(-1) for h in h_polys]
+    s2 = stirling2_triangle(n_top)
+    for n in range(1, n_top + 1):
+        rhs = (X - r) * t_rk[n - 1] - coef * t_up[n - 1]
+        for l in range(n):
+            d = n - 1 - l
+            weight = sum(
+                (-1) ** m * factorial(m + 1) * Fraction(m + 2) ** (-k) * s2[d][m]
+                for m in range(d + 1)
+            )
+            term = comb(n - 1, l) * weight * h_shift[l]
+            rhs = rhs + (term if d % 2 == 0 else -term)
+        sides["thm5", n, "derivative expansion"] = rhs
+    h_nums = family_numbers("frobenius-euler", n_top, r, lam)
+    pb_polys = family_polys("poly-bernoulli", n_top, k)
+    pb_nums = family_numbers("poly-bernoulli", n_top, k)
+    for n in range(n_top + 1):
+        conv_a = Polynomial()
+        conv_b = Polynomial()
+        for l in range(n + 1):
+            conv_a = conv_a + comb(n, l) * h_nums[n - l] * pb_polys[l]
+            conv_b = conv_b + comb(n, l) * pb_nums[l] * h_polys[n - l]
+        sides["foundations", n, "number/polynomial convolution"] = conv_a
+        sides["foundations", n, "polynomial/number convolution"] = conv_b
+    return sides
+
+
+@pytest.mark.parametrize(
+    "r, k, lam",
+    [(-2, -3, Fraction(1, 2)), (-1, -2, Fraction(7)), (3, 2, Fraction(-3, 5))],
+)
+def test_integer_recurrence_and_convolution_sums_match_polynomial_reference(r, k, lam):
+    n_top = 12
+    reference = polynomial_sums(r, k, lam, n_top)
+    tasks = {"thm3": identities._step_recurrence_task,
+             "thm4": identities._derived_recurrence_task,
+             "thm5": identities._derivative_expansion_task,
+             "foundations": identities._foundations_task}
+    seen = set()
+    for identity, task in tasks.items():
+        ns = tuple(range(SPECS[identity].floor, n_top + 1))
+        for n, check, lhs, rhs, _ in task(r, k, lam, ns):
+            key = identity, n, check
+            if key not in reference:
+                continue
+            seen.add(key)
+            # the identity holds, so each integer side equals the other side too
+            if identity == "thm4":
+                assert (lhs, rhs) == reference[key], key
+            else:
+                assert lhs == reference[key], key
+            assert lhs == rhs, key
+    assert seen == set(reference)
 
 
 #: The generating-function side of thm1-2 and foundations, as identities
