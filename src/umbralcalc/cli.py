@@ -264,6 +264,8 @@ def _run_bases(args) -> int:
     target = TARGETS[target_name]
     if any(getattr(args, name) is None for name in target.needs):
         raise CliError(f"target {target_name!r} needs {' and '.join(_flags(target.needs))}")
+    if "s" in target.needs and args.s < 0:
+        raise CliError("--s must be nonnegative")
     order = max(args.n_max, 1)
     source = appell_pair(mixed_kernel(args.r, args.k, args.lam, order))
     (rows,) = connection_rows(source, [target.pair(args.s, args.mu, order)], args.n_max)

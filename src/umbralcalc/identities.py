@@ -16,11 +16,13 @@ denominator (a list of polynomials to integer coefficient rows,
 ``_polynomial_rows``), each output value is an integer sum divided once,
 and a polynomial sum is one integer combination of rows (``_combine``)
 made into a polynomial once (``_make``).  Sums that depend on no degree
-run once per task, or once per target instance in ``bases``: thm1-2's
-Stirling weights, thm5's weights, and the sums S_j of an Appell target's
-constants C_{n,m} = C(n, m) S_{n-m}; a degree pays only for the terms
-that read it.  The remaining terms of the recurrences, such as
-(x - r) T_n, stay `Polynomial` operations.
+run once per task (thm1-2's Stirling weights, thm5's weights), and a
+degree pays only for the terms that read it.  ``bases`` has one routine
+per closed form of the paper: Bernoulli, Frobenius-Euler (Euler is its
+mu = -1) and the signed Stirling sum of falling and rising; a target
+instance's weights are built with the instance, and a task sums each
+instance once for all its degrees.  The remaining terms of the
+recurrences, such as (x - r) T_n, stay `Polynomial` operations.
 
 A row of connection constants never becomes `Fraction` values: all three
 sides of ``bases`` give it as a canonical ``(numerators, denominator)``
@@ -58,9 +60,9 @@ finishes.  `verify_all` still gets each report by calling the verifier's
 `VERIFIERS` function, which joins its chunks in traversal order, so
 reports equal the serial run's, and a wrapped or replaced entry is what
 the run calls.  The workers keep their kernel caches for the whole run.
-Data that every point of a sweep reads (the target bases of ``bases``) is
-memoised per process: each process builds it once from the grid, which is
-all a task carries.  A fail-fast verifier cancels its own chunks not yet
+Data that every point of a sweep reads (the target instances of ``bases``)
+is memoised per process: each process builds it once from the grid, which
+is all a task carries.  A fail-fast verifier cancels its own chunks not yet
 started once a counterexample arrives and leaves the others running.
 
 Each sweep gives one `VerificationReport` built from the runner's counts
@@ -74,6 +76,7 @@ from __future__ import annotations
 
 import os
 import threading
+from collections import namedtuple
 from collections.abc import Callable
 from contextlib import closing
 from dataclasses import dataclass, replace
@@ -495,16 +498,81 @@ def appell_pair(kernel: TruncatedSeries) -> ShefferPair:
     return ShefferPair(kernel.invert(), TruncatedSeries.identity(kernel.order))
 
 
+def _appell_rows(sums, den) -> list:
+    """The rows C_{n,m} = C(n, m) S_{n-m} of an Appell target, for
+    S_j = sums[j] / den."""
+    return [
+        _canonical_row([comb(n, m) * sums[n - m] for m in range(n + 1)], den)
+        for n in range(len(sums))
+    ]
+
+
+def _bernoulli_rows(triangle, scale, t_nums, values) -> list:
+    nums, den = t_nums
+    sums = [sum(map(mul, weights, nums[j::-1])) for j, weights in enumerate(triangle)]
+    return _appell_rows(sums, scale * den)
+
+
+def _bernoulli_form(s, n_top) -> partial:
+    """S_j = sum_l C(j, l) S2(l + s, s) / C(s + l, l) T_{j-l}, over the lcm
+    L of the binomials, which makes every L / C(s + l, l) an integer."""
+    binoms = [comb(s + l, l) for l in range(n_top + 1)]
+    scale = lcm(*binoms)
+    s2 = stirling2_triangle(n_top + s)
+    weights = [scale // b * s2[l + s][s] for l, b in enumerate(binoms)]
+    triangle = [[comb(j, l) * weights[l] for l in range(j + 1)] for j in range(n_top + 1)]
+    return partial(_bernoulli_rows, triangle, scale)
+
+
+def _frobenius_euler_rows(weights, scale, t_nums, values) -> list:
+    table, den = values
+    return _appell_rows([sum(map(mul, weights, row)) for row in table], scale * den)
+
+
+def _frobenius_euler_form(s, mu) -> partial:
+    """S_j = (1 - mu)^(-s) sum_i C(s, i) (-mu)^(s-i) T_j(i), multiplied by
+    q^s for mu = p/q: integer weights over the scale (q - p)^s, negative for
+    mu > 1 and odd s.  Euler is mu = -1: 2^(-s) sum_i C(s, i) T_j(i)."""
+    p, q = mu.numerator, mu.denominator
+    weights = [comb(s, i) * (-p) ** (s - i) * q**i for i in range(s + 1)]
+    return partial(_frobenius_euler_rows, weights, (q - p) ** s)
+
+
+def _stirling_rows(triangle, t_nums, values) -> list:
+    nums, den = t_nums
+    rows = []
+    for n in range(len(nums)):
+        weights = [comb(n, j) * nums[n - j] for j in range(n + 1)]
+        rows.append(_canonical_row(_combine(weights, triangle, n + 1), den))
+    return rows
+
+
+def _stirling_form(sign, n_top) -> partial:
+    """C_{n,m} = sum_j C(n, j) T_{n-j} sign^(j-m) S2(j, m): the falling
+    factorials at sign 1, the rising ones at sign -1."""
+    triangle = [
+        [sign ** (j - m) * c for m, c in enumerate(row)]
+        for j, row in enumerate(stirling2_triangle(n_top))
+    ]
+    return partial(_stirling_rows, triangle)
+
+
 @dataclass(frozen=True)
 class Target:
     """A target basis of the connection constants: the parameters it is
     indexed by (a subset of s and mu), its Sheffer pair as
-    ``pair(s, mu, order)`` and its members of degrees 0..n as
-    ``basis(s, mu, n)``.  A pair needs order >= 1 to hold a delta series."""
+    ``pair(s, mu, order)`` (order >= 1, to hold a delta series), its
+    members of degrees 0..n as ``basis(s, mu, n)`` and its closed form
+    as ``closed_form(s, mu, n)``: the paper's formula for its constants,
+    with the weights that read neither T nor a degree built, called as
+    ``(t_nums, values)`` on the mixed numbers T_0..T_n and the table
+    T_i(j), j = 0..max s, over common denominators, to give the rows
+    C_0..C_n as canonical (numerators, denominator) pairs."""
 
     needs: tuple
     pair: Callable
     basis: Callable
+    closed_form: Callable
 
 
 #: The Sheffer bases the mixed family is expanded in, in sweep order.
@@ -513,16 +581,19 @@ TARGETS = {
         ("s",),
         lambda s, mu, order: appell_pair(bernoulli_kernel(s, order)),
         lambda s, mu, n: family_polys("bernoulli", n, s),
+        lambda s, mu, n: _bernoulli_form(s, n),
     ),
     "euler": Target(
         ("s",),
         lambda s, mu, order: appell_pair(euler_kernel(s, order)),
         lambda s, mu, n: family_polys("euler", n, s),
+        lambda s, mu, n: _frobenius_euler_form(s, Fraction(-1)),
     ),
     "frobenius-euler": Target(
         ("s", "mu"),
         lambda s, mu, order: appell_pair(frobenius_euler_kernel(s, mu, order)),
         lambda s, mu, n: family_polys("frobenius-euler", n, s, mu),
+        lambda s, mu, n: _frobenius_euler_form(s, mu),
     ),
     "falling": Target(
         (),
@@ -530,6 +601,7 @@ TARGETS = {
             TruncatedSeries.constant(1, order), exp_minus_one(order)
         ),
         lambda s, mu, n: [falling_factorial(m) for m in range(n + 1)],
+        lambda s, mu, n: _stirling_form(1, n),
     ),
     "rising": Target(
         (),
@@ -537,6 +609,7 @@ TARGETS = {
             TruncatedSeries.constant(1, order), one_minus_exp_neg(order)
         ),
         lambda s, mu, n: [rising_factorial(m) for m in range(n + 1)],
+        lambda s, mu, n: _stirling_form(-1, n),
     ),
 }
 
@@ -554,93 +627,30 @@ def _polynomial_rows(polys) -> tuple:
     return _integer_rows([(p._num, p._den) for p in polys])
 
 
+#: A target basis at one s and mu: the parameters its reports show, its
+#: Sheffer pair, its members as `_polynomial_rows`, the monomials expanded
+#: in it (`monomial_expansion`) and its `Target.closed_form`.
+_BasisInstance = namedtuple("_BasisInstance", "extra pair rows expansion closed_form")
+
+
 @lru_cache(maxsize=1)
-def _basis_instances(grid: SweepGrid, n_top: int) -> dict:
-    """Target data shared by every (r, k, lambda) task, per basis instance
-    in sweep order (targets in table order, each over s and then mu where
-    it is indexed by them): the basis polynomials, their coefficients as
-    integer rows over one denominator, and the Sheffer pair; beside them,
-    in the same order, the monomials expanded in each basis for the
-    triangular solve.  Memoised, so each process builds it once per sweep
-    and every task of the sweep reads the same data."""
-    order = max(n_top, 1)
+def _basis_instances(grid: SweepGrid, n_top: int) -> tuple:
+    """The `_BasisInstance` records through degree ``n_top`` that every
+    (r, k, lambda) task of a sweep reads, in sweep order: targets in table
+    order, each over s and then mu where it is indexed by them.  Memoised,
+    so each process builds them once per sweep."""
     instances = []
-    expansions = []
     for name, target in TARGETS.items():
         for s in grid.s_values if "s" in target.needs else (None,):
             for mu in grid.mu_values if "mu" in target.needs else (None,):
+                extra = {"basis": name, "s": s, "mu": str(mu)}
                 basis = target.basis(s, mu, n_top)
-                rows = _polynomial_rows(basis)
-                instances.append((name, s, mu, basis, rows, target.pair(s, mu, order)))
-                expansions.append(monomial_expansion(basis))
-    return {
-        "order": order,
-        "n_top": n_top,
-        "s_max": max(grid.s_values),
-        "s2": stirling2_triangle(n_top + max(grid.s_values)),
-        "instances": instances,
-        "expansions": expansions,
-    }
-
-
-def _appell_sums(basis_name, s, mu, n_top, t_nums, values, s2):
-    """The degree-free sums of the closed-form connection constants in an
-    Appell target basis (bernoulli, euler, frobenius-euler), computed once
-    per target instance, or None for the falling and rising bases.
-
-    In an Appell basis C_{n,m} = C(n, m) S_{n-m}, where S_j depends on j
-    alone; this gives S_0..S_{n_top} as (integers, denominator).
-    ``t_nums`` holds the mixed numbers T_0..T_{n_top} as (integer
-    numerators, common denominator) and ``values`` the table T_i(j),
-    j = 0..s or beyond, as (integer rows, common denominator)."""
-    nums, den = t_nums
-    if basis_name == "bernoulli":
-        # L / C(s + l, l) is an integer for L the lcm of the binomials
-        binoms = [comb(s + l, l) for l in range(n_top + 1)]
-        scale = lcm(*binoms)
-        weights = [scale // b * s2[l + s][s] for l, b in enumerate(binoms)]
-        return [
-            sum(comb(j, l) * weights[l] * nums[j - l] for l in range(j + 1))
-            for j in range(n_top + 1)
-        ], scale * den
-    if basis_name in ("euler", "frobenius-euler"):
-        table, table_den = values
-        if basis_name == "euler":
-            weights = [comb(s, j) for j in range(s + 1)]
-            scale = 2**s
-        else:
-            # (-mu)^(s-j) / (1 - mu)^s with mu = p/q, both sides times q^s;
-            # the scale is negative for mu > 1 and odd s
-            p, q = mu.numerator, mu.denominator
-            weights = [comb(s, j) * (-p) ** (s - j) * q**j for j in range(s + 1)]
-            scale = (q - p) ** s
-        return [sum(map(mul, weights, row)) for row in table[:n_top + 1]], scale * table_den
-    return None
-
-
-def _summation_constants(basis_name, s, mu, n, t_nums, sums, s2) -> tuple:
-    """Closed-form connection constants of the mixed family in the given
-    target basis, for a single degree n, as a canonical ``(numerators,
-    denominator)`` pair: every constant is an integer sum over the row's
-    one denominator.
-
-    ``sums`` is `_appell_sums` of the instance.  An Appell target's row is
-    C(n, m) S_{n-m}, which reads nothing else; the falling and rising rows
-    sum the mixed numbers ``t_nums`` (integer numerators, common
-    denominator) against the Stirling numbers ``s2`` per degree."""
-    if sums is not None:
-        totals, den = sums
-        return _canonical_row([comb(n, m) * totals[n - m] for m in range(n + 1)], den)
-    nums, den = t_nums
-    signed = basis_name == "rising"
-    row = []
-    for m in range(n + 1):
-        total = 0
-        for l in range(n - m + 1):
-            term = comb(n, l + m) * s2[l + m][m] * nums[n - m - l]
-            total += -term if signed and l % 2 else term
-        row.append(total)
-    return _canonical_row(row, den)
+                instances.append(_BasisInstance(
+                    {key: extra[key] for key in ("basis", *target.needs)},
+                    target.pair(s, mu, max(n_top, 1)), _polynomial_rows(basis),
+                    monomial_expansion(basis), target.closed_form(s, mu, n_top),
+                ))
+    return tuple(instances)
 
 
 def _reconstruct(row, basis_rows, basis_den) -> Polynomial:
@@ -652,36 +662,24 @@ def _reconstruct(row, basis_rows, basis_den) -> Polynomial:
 
 
 def _basis_task(r, k, lam, ns, grid):
-    shared = _basis_instances(grid, max(ns))
-    n_top = shared["n_top"]
-    order = shared["order"]
-    s2 = shared["s2"]
-    kernel = mixed_kernel(r, k, lam, order)
+    n_top = max(ns)
+    instances = _basis_instances(grid, n_top)
+    kernel = mixed_kernel(r, k, lam, max(n_top, 1))
     t_polys = polys_from_kernel(kernel, n_top)
     t_nums = _common_denominator(numbers_from_kernel(kernel, n_top))
-    source = appell_pair(kernel)
     values = _integer_rows([
-        _common_denominator([t_polys[i](j) for j in range(shared["s_max"] + 1)])
-        for i in range(n_top + 1)
+        _common_denominator([t(j) for j in range(max(grid.s_values) + 1)]) for t in t_polys
     ])
-    instances = shared["instances"]
     # one source for every target, so fbar and 1/g(fbar) are built once
-    by_target = connection_rows(source, [instance[5] for instance in instances], n_top)
-    for instance, expansion, pairing_rows in zip(instances, shared["expansions"], by_target):
-        basis_name, s, mu, _, (basis_rows, basis_den), _ = instance
-        sums = _appell_sums(basis_name, s, mu, n_top, t_nums, values, s2)
-        solved_rows = solve_rows(t_polys, expansion)
-        extra = {"basis": basis_name}
-        if s is not None:
-            extra["s"] = s
-        if mu is not None:
-            extra["mu"] = str(mu)
+    by_target = connection_rows(appell_pair(kernel), [i.pair for i in instances], n_top)
+    for instance, pairing_rows in zip(instances, by_target):
+        rows = instance.closed_form(t_nums, values)
+        solved_rows = solve_rows(t_polys, instance.expansion)
         for n in ns:
-            row = _summation_constants(basis_name, s, mu, n, t_nums, sums, s2)
-            yield n, "summation vs pairing constants", row, pairing_rows[n], extra
-            yield n, "summation vs solved constants", row, solved_rows[n], extra
-            rebuilt = _reconstruct(row, basis_rows, basis_den)
-            yield n, "basis reconstruction", rebuilt, t_polys[n], extra
+            yield n, "summation vs pairing constants", rows[n], pairing_rows[n], instance.extra
+            yield n, "summation vs solved constants", rows[n], solved_rows[n], instance.extra
+            rebuilt = _reconstruct(rows[n], *instance.rows)
+            yield n, "basis reconstruction", rebuilt, t_polys[n], instance.extra
 
 
 # ---------------------------------------------------------------------------

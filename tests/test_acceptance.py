@@ -224,3 +224,15 @@ def test_criterion_9_cli_gate():
         ok = ok and first.returncode == second.returncode == 0
         ok = ok and first.stdout == second.stdout and first.stdout
     _conclude("9 (CLI gate and determinism)", ok, started)
+
+
+def test_pooled_verify_all_matches_the_golden():
+    # a pooled run must print what the serial one does, byte for byte; on a
+    # host with one usable CPU it runs serially and still compares
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    verify = subprocess.run(
+        [sys.executable, "-m", "umbralcalc", "verify", "all", "--jobs", "2"],
+        capture_output=True, text=True, env=env,
+    )
+    assert verify.returncode == 0, verify.stderr
+    assert verify.stdout.encode() == VERIFY_ALL_GOLDEN.read_bytes()

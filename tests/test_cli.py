@@ -285,6 +285,20 @@ def test_missing_target_parameters_per_target(target, capsys):
         assert capsys.readouterr().err == MISSING_TARGET_PARAMS[target]
 
 
+@pytest.mark.parametrize("target", sorted(MISSING_TARGET_PARAMS))
+def test_bases_rejects_a_negative_s_per_target(target, capsys):
+    # verify rejects a negative s, so constants in such a basis could never
+    # be checked; bases must refuse them before it computes anything
+    argv = ["bases", "--target", target, "--n-max", "1", *MIXED, "--s", "-2", "--mu", "3"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: --s must be nonnegative\n")
+    # the order r of the Frobenius-Euler family may still be negative
+    for command, degree in (("table", "--n-max"), ("eval", "--n")):
+        argv = [command, "--family", "frobenius-euler", "--r", "-2", "--lambda", "3", degree, "2"]
+        assert main(argv + (["--at", "1"] if command == "eval" else [])) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_eval_rejects_the_stirling_triangle(capsys):
     assert main(["eval", "--family", "stirling2", "--n", "1", "--at", "1"]) == 2
     assert capsys.readouterr().err == (

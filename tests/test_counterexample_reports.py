@@ -54,7 +54,7 @@ def _inject_defects(patch):
     with defects in the mixed family only."""
     polys = identities.family_polys
     numbers = identities.family_numbers
-    constants = identities._summation_constants
+    instances = identities._basis_instances
 
     def bad_polys(family, n_max, *params):
         out = polys(family, n_max, *params)
@@ -68,19 +68,26 @@ def _inject_defects(patch):
             out[2] = out[2] + 1
         return out
 
-    def bad_constants(basis_name, s, mu, n, t_nums, sums, s2):
-        row = constants(basis_name, s, mu, n, t_nums, sums, s2)
-        if basis_name in ("euler", "rising") and n == 4:
-            nums, den = row
+    def bad_rows(closed_form, t_nums, values):
+        rows = closed_form(t_nums, values)
+        if len(rows) > 4:
+            nums, den = rows[4]
             entries = [Fraction(c, den) for c in nums]
             entries[1] = entries[1] + Fraction(1, 3)
             # the lcm of the reduced denominators makes the pair canonical
-            row = _common_denominator(entries)
-        return row
+            rows[4] = _common_denominator(entries)
+        return rows
+
+    def bad_instances(grid, n_top):
+        return [
+            instance._replace(closed_form=functools.partial(bad_rows, instance.closed_form))
+            if instance.extra["basis"] in ("euler", "rising") else instance
+            for instance in instances(grid, n_top)
+        ]
 
     patch(identities, "family_polys", bad_polys)
     patch(identities, "family_numbers", bad_numbers)
-    patch(identities, "_summation_constants", bad_constants)
+    patch(identities, "_basis_instances", bad_instances)
     # the workers must inherit the patched module, whatever the default
     patch(
         concurrent.futures,

@@ -722,6 +722,14 @@ def fraction_summation_constants(basis_name, s, mu, n, t_nums, values, s2):
     return row
 
 
+def instance_params(instance):
+    """(target name, s, mu) of a basis instance, read from the parameters
+    its reports show."""
+    extra = instance.extra
+    mu = extra.get("mu")
+    return extra["basis"], extra.get("s"), None if mu is None else Fraction(mu)
+
+
 def polynomial_reconstruction(row, basis):
     rebuilt = Polynomial()
     for m, c in enumerate(row):
@@ -757,22 +765,28 @@ REFERENCE_MU = (Fraction(-1), Fraction(3), Fraction(2, 3), Fraction(9, 2))
 def test_integer_summation_matches_fraction_reference(r, k, lam):
     n_top, s_max = REFERENCE_N_TOP, max(REFERENCE_S)
     grid = SweepGrid(n_max=n_top, s_values=REFERENCE_S, mu_values=REFERENCE_MU)
-    shared = identities._basis_instances(grid, n_top)
-    s2 = shared["s2"]
+    s2 = stirling2_triangle(n_top + s_max)
     t_polys = family_polys("mixed-T", n_top, r, k, lam)
     t_nums = family_numbers("mixed-T", n_top, r, k, lam)
     values = [[t(j) for j in range(s_max + 1)] for t in t_polys]
     int_nums = _common_denominator(t_nums)
     int_values = identities._integer_rows([_common_denominator(row) for row in values])
+    zero_nums = ([0] * (n_top + 1), 7)
+    zero_values = ([[0] * (s_max + 1) for _ in range(n_top + 1)], 5)
     seen = set()
-    for name, s, mu, basis, (basis_rows, basis_den), _ in shared["instances"]:
+    for instance in identities._basis_instances(grid, n_top):
+        name, s, mu = instance_params(instance)
         seen.add((name, s, mu))
-        sums = identities._appell_sums(name, s, mu, n_top, int_nums, int_values, s2)
-        # the degree-free sums are the Appell targets' alone
-        assert (sums is None) == (name in ("falling", "rising"))
-        for n in range(n_top + 1):
+        basis = TARGETS[name].basis(s, mu, n_top)
+        basis_rows, basis_den = instance.rows
+        rows = instance.closed_form(int_nums, int_values)
+        assert len(rows) == n_top + 1
+        # euler and frobenius-euler sum the values T_j(i), the other
+        # targets the numbers T_j
+        reads_values = instance.closed_form(int_nums, zero_values) != rows
+        assert reads_values == (name in ("euler", "frobenius-euler"))
+        for n, row in enumerate(rows):
             expected = fraction_summation_constants(name, s, mu, n, t_nums, values, s2)
-            row = identities._summation_constants(name, s, mu, n, int_nums, sums, s2)
             assert_canonical(row)
             assert rendered(row) == expected, (name, s, mu, n)
             # the true row rebuilds T_n; a perturbed one any other combination
@@ -783,12 +797,9 @@ def test_integer_summation_matches_fraction_reference(r, k, lam):
                 assert rebuilt == polynomial_reconstruction(rendered(trial), basis)
             assert identities._reconstruct(row, basis_rows, basis_den) == t_polys[n]
         # the zero family gives the zero row: all zeros over 1
-        zero_nums = ([0] * (n_top + 1), 7)
-        zero_values = ([[0] * (s_max + 1) for _ in range(n_top + 1)], 5)
-        zero_sums = identities._appell_sums(name, s, mu, n_top, zero_nums, zero_values, s2)
+        zero_rows = instance.closed_form(zero_nums, zero_values)
         for n in (0, n_top):
-            zero = identities._summation_constants(name, s, mu, n, zero_nums, zero_sums, s2)
-            assert zero == ([0] * (n + 1), 1)
+            assert zero_rows[n] == ([0] * (n + 1), 1)
     assert {name for name, _, _ in seen} == set(TARGETS)
     assert {(s, mu) for name, s, mu in seen if name == "frobenius-euler"} == {
         (s, mu) for s in REFERENCE_S for mu in REFERENCE_MU
@@ -844,8 +855,8 @@ def _off_by_one(row):
     [
         ("connection_rows", {"summation vs pairing constants"}),
         ("solve_rows", {"summation vs solved constants"}),
-        ("_summation_constants", {"summation vs pairing constants",
-                                  "summation vs solved constants", "basis reconstruction"}),
+        ("_basis_instances", {"summation vs pairing constants",
+                              "summation vs solved constants", "basis reconstruction"}),
     ],
 )
 def test_every_side_of_bases_takes_part_in_its_check(monkeypatch, route, failing):
@@ -864,9 +875,15 @@ def test_every_side_of_bases_takes_part_in_its_check(monkeypatch, route, failing
         def perturbed(polys, expansion):
             return bump(original(polys, expansion))
     else:
-        def perturbed(basis_name, s, mu, n, t_nums, sums, s2):
-            row = original(basis_name, s, mu, n, t_nums, sums, s2)
-            return _off_by_one(row) if n == n_bad else row
+        # the closed form of every instance, the summation side's own route
+        def bumped(closed_form, t_nums, values):
+            return bump(closed_form(t_nums, values))
+
+        def perturbed(grid, n_top):
+            return [
+                instance._replace(closed_form=functools.partial(bumped, instance.closed_form))
+                for instance in original(grid, n_top)
+            ]
 
     monkeypatch.setattr(identities, route, perturbed)
     grid = replace(SMALL, n_max=4, r_values=(2,), k_values=(-2,))
@@ -874,9 +891,56 @@ def test_every_side_of_bases_takes_part_in_its_check(monkeypatch, route, failing
     assert {c["check"] for c in report.counterexamples} == failing
     assert {c["n"] for c in report.counterexamples} == {n_bad}
     # every basis instance of every point fails each of those checks once
-    instances = len(identities._basis_instances(grid, grid.n_max)["instances"])
+    instances = len(identities._basis_instances(grid, grid.n_max))
     points = len(grid.lambda_values)
     assert len(report.counterexamples) == len(failing) * instances * points
+
+
+def _raise_value_at_degree_3(original):
+    # pairing(functional, p) and apply_operator(operator, p)
+    return lambda first, p: original(first, p) + (1 if p.degree == 3 else 0)
+
+
+def _raise_member_3(original):
+    # sheffer_polynomials(pair, n_max), a list of members by degree
+    def perturbed(pair, n_max):
+        members = original(pair, n_max)
+        members[3] = members[3] + 1
+        return members
+
+    return perturbed
+
+
+def _raise_shifted_cubes(original):
+    # _shifted_power_table(n_top)[j][l], the coefficients of (x - j)^l
+    def perturbed(n_top):
+        table = original(n_top)
+        for powers in table:
+            powers[3] = [powers[3][0] + 1, *powers[3][1:]]
+        return table
+
+    return perturbed
+
+
+ROUTES = [
+    ("pairing", _raise_value_at_degree_3, {("thm6", "pairing cross-check")}),
+    ("sheffer_polynomials", _raise_member_3, {("foundations", "binomial expansion")}),
+    ("apply_operator", _raise_value_at_degree_3, {("foundations", "operator action")}),
+    ("_shifted_power_table", _raise_shifted_cubes,
+     {("thm1-2", "triple-sum form"), ("foundations", "alternating-shift action")}),
+]
+
+
+@pytest.mark.parametrize("route, perturb, failing", ROUTES, ids=[route[0] for route in ROUTES])
+def test_every_route_takes_part_in_the_checks_that_read_it(monkeypatch, route, perturb, failing):
+    # a defect in one route at degree 3 must fail every check that reads
+    # that route and no other: a check that never reads it proves nothing
+    # about it, and one that reads it on both sides compares it with itself
+    monkeypatch.setattr(identities, route, perturb(getattr(identities, route)))
+    grid = replace(SMALL, n_max=4, r_values=(2,), k_values=(-2,), lambda_values=(Fraction(-3, 5),))
+    reports = list(verify_all(grid, collect_all=True))
+    found = {(report.identity, c["check"]) for report in reports for c in report.counterexamples}
+    assert found == failing
 
 
 @pytest.mark.parametrize(

@@ -337,15 +337,17 @@ ORACLE_GRID = identities.SweepGrid(
 @pytest.mark.parametrize("r, k, lam", [(-2, -3, Fraction(1, 2)), (3, 3, Fraction(7))])
 def test_integer_sides_match_fraction_oracles_on_every_instance(r, k, lam):
     for n_max in range(ORACLE_GRID.n_max + 1):
-        shared = identities._basis_instances(ORACLE_GRID, n_max)
-        source = identities.appell_pair(mixed_kernel(r, k, lam, shared["order"]))
+        instances = identities._basis_instances(ORACLE_GRID, n_max)
+        source = identities.appell_pair(mixed_kernel(r, k, lam, max(n_max, 1)))
         t_polys = family_polys("mixed-T", n_max, r, k, lam)
-        assert len(shared["expansions"]) == len(shared["instances"]) == 32
-        for instance, expansion in zip(shared["instances"], shared["expansions"]):
-            _, _, _, basis, _, target = instance
+        assert len(instances) == 32
+        for instance in instances:
+            extra, target = instance.extra, instance.pair
+            mu = Fraction(extra["mu"]) if "mu" in extra else None
+            basis = identities.TARGETS[extra["basis"]].basis(extra.get("s"), mu, n_max)
             (pairing_rows,) = connection_rows(source, [target], n_max)
             assert rendered(pairing_rows) == fraction_connection_constants(source, target, n_max)
-            solved = solve_rows(t_polys, expansion)
+            solved = solve_rows(t_polys, instance.expansion)
             assert rendered(solved) == fraction_expand_in_basis(t_polys, basis)
             assert solve_rows(t_polys, monomial_expansion(basis)) == solved
             assert all_canonical(pairing_rows)
@@ -400,7 +402,9 @@ def test_bases_tasks_leave_the_shared_data_out():
     assert len(tasks) == 210
     # what the pool is sent per point: the chunk worker and the task
     worker = partial(identities._run_checks, checks, False)
-    assert max(len(pickle.dumps((worker, [task]))) for task in tasks) < 1024
+    sent = max(len(pickle.dumps((worker, [task]))) for task in tasks)
+    assert sent < 1024
     shared = identities._basis_instances(grid, grid.n_max)
     assert identities._basis_instances(grid, grid.n_max) is shared
-    assert len(pickle.dumps(shared)) > 30_000
+    # what each process builds for itself dwarfs what a task sends
+    assert len(pickle.dumps(shared)) > 50 * sent
