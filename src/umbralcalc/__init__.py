@@ -32,11 +32,9 @@ from .series import TruncatedSeries, exp_series
 from .umbral import (
     ShefferPair,
     VerificationReport,
-    appell_next,
     apply_operator,
     connection_rows,
     pairing,
-    sheffer_orthogonality_check,
     sheffer_polynomials,
 )
 

@@ -161,6 +161,11 @@ def _flags(names) -> list:
     return [_FLAGS.get(name, f"--{name}") for name in names]
 
 
+def _require_nonnegative_s(args, needs) -> None:
+    if "s" in needs and args.s < 0:
+        raise CliError("--s must be nonnegative")
+
+
 @dataclass(frozen=True)
 class Family:
     """A polynomial family of the table and eval commands: the arguments
@@ -201,6 +206,7 @@ def _family_polys(args, n_max: int) -> list:
     missing = _flags(name for name in family.needs if getattr(args, name) is None)
     if missing:
         raise CliError(f"family {args.family!r} needs {', '.join(missing)}")
+    _require_nonnegative_s(args, family.needs)
     return family_polys(args.family, n_max, *[getattr(args, name) for name in family.needs])
 
 
@@ -264,8 +270,7 @@ def _run_bases(args) -> int:
     target = TARGETS[target_name]
     if any(getattr(args, name) is None for name in target.needs):
         raise CliError(f"target {target_name!r} needs {' and '.join(_flags(target.needs))}")
-    if "s" in target.needs and args.s < 0:
-        raise CliError("--s must be nonnegative")
+    _require_nonnegative_s(args, target.needs)
     order = max(args.n_max, 1)
     source = appell_pair(mixed_kernel(args.r, args.k, args.lam, order))
     (rows,) = connection_rows(source, [target.pair(args.s, args.mu, order)], args.n_max)

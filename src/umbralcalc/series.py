@@ -10,10 +10,11 @@ A series is stored like a `Polynomial`: a tuple of integer numerators over
 one positive denominator, in canonical form (``gcd(den, *num) == 1``,
 `polynomials._canonical_row`), so equality is structural comparison and a
 `Fraction` is made only where a coefficient leaves the class
-(`coefficient`, `coefficients`, ``repr``).  Each operation has one loop
-on the stored numerators.  An int or a `Fraction` is a coefficient or a
-scalar operand; anything else, an inexact number (a float, complex or
-Decimal) or a polynomial included, raises TypeError.
+(`coefficient`, `coefficients`, ``repr``).  Each operation has one loop on
+the stored numerators but `comp_inverse`, whose `Fraction` solve no verifier
+or command runs: their sources are Appell.  An int or a `Fraction` is a
+coefficient or a scalar operand; anything else, an inexact number (a float,
+complex or Decimal) or a polynomial included, raises TypeError.
 
 Inversion keeps its partial results over one running denominator and
 cancels, at every step, the factor the new term shares with the constant

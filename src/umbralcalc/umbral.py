@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import factorial, lcm, perm
 from operator import mul
 
-from .polynomials import Polynomial, X, _canonical_row, _make
+from .polynomials import Polynomial, _canonical_row, _make
 from .series import TruncatedSeries
 
 __all__ = [
@@ -47,8 +47,6 @@ __all__ = [
     "pairing",
     "apply_operator",
     "sheffer_polynomials",
-    "sheffer_orthogonality_check",
-    "appell_next",
     "connection_rows",
     "monomial_expansion",
     "solve_rows",
@@ -149,10 +147,6 @@ class ShefferPair:
     def order(self) -> int:
         return min(self.g.order, self.f.order)
 
-    @property
-    def is_appell(self) -> bool:
-        return self.f._is_identity()
-
 
 def sheffer_polynomials(pair: ShefferPair, n_max: int) -> list:
     """S_0..S_{n_max} for the pair (g, f), by Roman's coefficient formula
@@ -166,44 +160,6 @@ def sheffer_polynomials(pair: ShefferPair, n_max: int) -> list:
     )
     (rows,) = connection_rows(pair, [monomials], n_max)
     return [_make(num, den) for num, den in rows]
-
-
-def sheffer_orthogonality_check(pair: ShefferPair, polys, n_max: int) -> VerificationReport:
-    """Check the biorthogonality <g f^k | S_n> = n! delta_{n,k} for all
-    0 <= n, k <= n_max."""
-    if pair.order < n_max:
-        raise ValueError("pair truncation order must be at least n_max")
-    failures = []
-    checked = 0
-    fk = pair.g
-    for k in range(n_max + 1):
-        for n in range(n_max + 1):
-            value = pairing(fk, polys[n])
-            expected = Fraction(factorial(n)) if n == k else Fraction(0)
-            checked += 1
-            if value != expected:
-                failures.append(
-                    {"n": n, "k": k, "lhs": str(value), "rhs": str(expected)}
-                )
-                break
-        if failures:
-            break
-        if k < n_max:
-            fk = fk * pair.f
-    return VerificationReport(
-        "sheffer-orthogonality", {"n_max": n_max}, checked, tuple(failures)
-    )
-
-
-def appell_next(pair: ShefferPair, s_n: Polynomial) -> Polynomial:
-    """One step of the Appell recurrence S_{n+1} = (x - g'(t)/g(t)) S_n;
-    only valid when f = t."""
-    if not pair.is_appell:
-        raise ValueError("the recurrence requires f = t")
-    if pair.g.order < s_n.degree + 1:
-        raise ValueError("pair truncation order must exceed deg S_n")
-    ratio = pair.g.derivative() * pair.g.invert()
-    return X * s_n - apply_operator(ratio, s_n)
 
 
 def connection_rows(source: ShefferPair, targets, n_max: int) -> list:

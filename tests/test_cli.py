@@ -299,6 +299,16 @@ def test_bases_rejects_a_negative_s_per_target(target, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["table", "--family", "bernoulli", "--s", "-2", "--n-max", "2"],
+    ["eval", "--family", "euler", "--s", "-1", "--n", "2", "--at", "1"],
+])
+def test_table_and_eval_reject_a_negative_s_by_its_flag(argv, capsys):
+    # the same message as bases, from the same check
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: --s must be nonnegative\n")
+
+
 def test_eval_rejects_the_stirling_triangle(capsys):
     assert main(["eval", "--family", "stirling2", "--n", "1", "--at", "1"]) == 2
     assert capsys.readouterr().err == (

@@ -22,12 +22,10 @@ from umbralcalc.series import TruncatedSeries, exp_series
 from umbralcalc.umbral import (
     ShefferPair,
     VerificationReport,
-    appell_next,
     apply_operator,
     connection_rows,
     monomial_expansion,
     pairing,
-    sheffer_orthogonality_check,
     sheffer_polynomials,
     solve_rows,
 )
@@ -101,51 +99,6 @@ def test_sheffer_polynomials_classical_pairs():
     assert falling == [falling_factorial(n) for n in range(11)]
     rising = sheffer_polynomials(ShefferPair(one, one_minus_exp_neg(order)), 10)
     assert rising == [rising_factorial(n) for n in range(11)]
-
-
-def test_orthogonality_reports():
-    order = 12
-    one = TruncatedSeries.constant(1, order)
-    monomial_pair = ShefferPair(one, TruncatedSeries.identity(order))
-    report = sheffer_orthogonality_check(
-        monomial_pair, sheffer_polynomials(monomial_pair, 5), 5
-    )
-    assert report.passed
-    pair = ShefferPair(one, exp_minus_one(order))
-    polys_f = sheffer_polynomials(pair, 8)
-    report = sheffer_orthogonality_check(pair, polys_f, 8)
-    assert report.passed and report.checked == 81
-    # a wrong sequence is caught with a counterexample
-    broken = list(polys_f)
-    broken[3] = broken[3] + 1
-    report = sheffer_orthogonality_check(pair, broken, 4)
-    assert not report.passed
-    assert report.counterexample["n"] == 3
-
-
-def test_appell_recurrence_steps():
-    order = 10
-    one = TruncatedSeries.constant(1, order)
-    monomials = ShefferPair(one, TruncatedSeries.identity(order))
-    assert appell_next(monomials, X**4) == X**5
-    bernoulli_pair = ShefferPair(
-        bernoulli_kernel(1, order).invert(), TruncatedSeries.identity(order)
-    )
-    b1 = Polynomial([Fraction(-1, 2), 1])
-    assert appell_next(bernoulli_pair, b1) == Polynomial([Fraction(1, 6), -1, 1])
-    with pytest.raises(ValueError):
-        appell_next(ShefferPair(one, exp_minus_one(order)), X)
-
-
-def test_appell_recurrence_reproduces_mixed_family():
-    r, k, lam = 1, 2, Fraction(2)
-    order = 9
-    pair = ShefferPair(
-        mixed_kernel(r, k, lam, order).invert(), TruncatedSeries.identity(order)
-    )
-    family = family_polys("mixed-T", 6, r, k, lam)
-    for n in range(6):
-        assert appell_next(pair, family[n]) == family[n + 1]
 
 
 def test_operator_lowers_sheffer_degree():
