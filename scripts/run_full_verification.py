@@ -7,9 +7,10 @@ verifier's grid points go to one pool of worker processes at once, so
 later verifiers already run during that gap and it is not the verifier's
 own time.  The TOTAL line is the run's wall time either way.
 Counterexamples, if any, are printed as JSON.  After the TOTAL line come
-the hits and misses of each memoised kernel builder in this process; the
-pool workers keep caches of their own for the whole run, which are not
-shown."""
+the hits and misses of each memoised kernel builder in this process; a
+miss below the longest order built for the same parameters is served by
+truncating that series, so not every miss is a build.  The pool workers
+keep caches of their own for the whole run, which are not shown."""
 
 import argparse
 import json

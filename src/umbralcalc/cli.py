@@ -161,7 +161,12 @@ def _flags(names) -> list:
     return [_FLAGS.get(name, f"--{name}") for name in names]
 
 
-def _require_nonnegative_s(args, needs) -> None:
+def _require_params(args, what: str, needs) -> None:
+    """Exit 2 naming the flags of ``needs`` that were not given, joined by
+    ", ", or a negative --s."""
+    missing = _flags(name for name in needs if getattr(args, name) is None)
+    if missing:
+        raise CliError(f"{what} needs {', '.join(missing)}")
     if "s" in needs and args.s < 0:
         raise CliError("--s must be nonnegative")
 
@@ -203,10 +208,7 @@ FAMILIES = (*POLY_FAMILIES, "stirling2")
 
 def _family_polys(args, n_max: int) -> list:
     family = POLY_FAMILIES[args.family]
-    missing = _flags(name for name in family.needs if getattr(args, name) is None)
-    if missing:
-        raise CliError(f"family {args.family!r} needs {', '.join(missing)}")
-    _require_nonnegative_s(args, family.needs)
+    _require_params(args, f"family {args.family!r}", family.needs)
     return family_polys(args.family, n_max, *[getattr(args, name) for name in family.needs])
 
 
@@ -268,9 +270,7 @@ def _run_bases(args) -> int:
         raise CliError("--n-max must be nonnegative")
     target_name = args.target
     target = TARGETS[target_name]
-    if any(getattr(args, name) is None for name in target.needs):
-        raise CliError(f"target {target_name!r} needs {' and '.join(_flags(target.needs))}")
-    _require_nonnegative_s(args, target.needs)
+    _require_params(args, f"target {target_name!r}", target.needs)
     order = max(args.n_max, 1)
     source = appell_pair(mixed_kernel(args.r, args.k, args.lam, order))
     (rows,) = connection_rows(source, [target.pair(args.s, args.mu, order)], args.n_max)

@@ -42,26 +42,45 @@ integer index.
 
 The five factor builders (`polylog_series`, `frobenius_euler_kernel`,
 `bernoulli_kernel`, `euler_kernel` and `poly_bernoulli_kernel`) are
-memoised for the life of the process, keyed on their parameter tuple with
-typed keys: they are pure and return immutable series, so a sweep builds
-each kernel once, and a call such as ``frobenius_euler_kernel(2.0, lam,
-n)`` still raises TypeError rather than hitting the entry of the integer
-order.  Each builder's ``cache_info()`` and ``cache_clear()`` are those of
-`functools.lru_cache`; failed calls (lambda = 1, a negative order
-parameter) are never cached.  Deliberately not cached: `mixed_kernel`,
-whose two factors are, so a repeat call costs one series product and
-keeps no third series per key; and everything that takes a series or
-returns a list.  `polys_from_kernel` and `numbers_from_kernel` would be
-keyed on series values, so equal kernels built by different routes
-(``mixed_kernel(0, k, lam, n)`` and ``poly_bernoulli_kernel(k, n)``) would
-share one entry and the checks comparing them would read it twice; and
-`family_polys` and `family_numbers` return mutable lists.
+memoised for the life of the process: they are pure and return immutable
+series, so a sweep builds each kernel once.  The memo has two tables, both
+with typed keys, so a call such as ``frobenius_euler_kernel(2.0, lam, n)``
+still raises TypeError rather than reading the entry of the integer order.
+The first is a `functools.lru_cache` on the whole argument tuple, so a
+repeat call returns the same object; its ``cache_info()`` counts hits and
+misses, and ``__wrapped__`` is the raw builder.  The second keeps, per
+parameter tuple, the longest series built so far.  A miss at an int order
+0 <= n below that length is served as ``longest.truncate(n)``, without
+calling the builder; any other miss builds, and a longer series becomes
+the longest.  So requests at degrees 36, 12 and 30 build once.  A call
+that fails uncached (a negative or non-int order, lambda = 1, a float r)
+still reaches the builder and raises, and failed calls are never cached.
+``cache_clear()`` empties both tables.
+
+The prefix rule trusts truncation exactness (first paragraph).  A builder
+whose order-n series is not the truncation of its order-m series has the
+silent-precision defect that the `series` docstring calls the dominant
+bug class, and the memo hides it from every call served by truncation.  A
+polylog mutant that drops the j = order term is wrong only at t^order;
+uncached, five verifiers catch it, but with the memo `verify thm3` and
+`verify thm4` run alone pass it, since they read truncations of longer
+builds (`verify all` still fails).  So `tests/test_families.py` compares
+each raw builder's truncations with its own lower-order builds.
+
+Deliberately not cached: `mixed_kernel`, whose two factors are, so a
+repeat call costs one series product and keeps no third series per key;
+and everything that takes a series or returns a list.  `polys_from_kernel`
+and `numbers_from_kernel` would be keyed on series values, so equal
+kernels built by different routes (``mixed_kernel(0, k, lam, n)`` and
+``poly_bernoulli_kernel(k, n)``) would share one entry and the checks
+comparing them would read it twice; and `family_polys` and
+`family_numbers` return mutable lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, update_wrapper
 from math import factorial, gcd
 from operator import mul
 
@@ -138,8 +157,33 @@ def stirling2(n: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 # Kernel series
 
-#: The process-wide memo of each kernel builder (see the module docstring).
-_memoised = lru_cache(maxsize=None, typed=True)
+def _memoised(builder):
+    """The process-wide memo of a kernel builder whose last argument is the
+    truncation order (see the module docstring)."""
+    longest = {}
+
+    def memo(*args, **kwargs):
+        if kwargs or not args:  # no positional order to serve from a prefix
+            return builder(*args, **kwargs)
+        *params, order = args
+        key = (*params, *map(type, params))
+        prefix = longest.get(key)
+        if type(order) is int and prefix is not None and 0 <= order < prefix.order:
+            return prefix.truncate(order)
+        series = builder(*args)
+        if type(order) is int and (prefix is None or order > prefix.order):
+            longest[key] = series
+        return series
+
+    cached = update_wrapper(lru_cache(maxsize=None, typed=True)(memo), builder)
+    clear_entries = cached.cache_clear
+
+    def cache_clear():
+        clear_entries()
+        longest.clear()
+
+    cached.cache_clear = cache_clear
+    return cached
 
 
 def exp_minus_one(order: int) -> TruncatedSeries:

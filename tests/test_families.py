@@ -4,6 +4,7 @@ from math import comb, factorial, gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from umbralcalc import families
 from umbralcalc.families import (
     bernoulli_kernel,
     euler_kernel,
@@ -411,3 +412,91 @@ def test_full_verification_script_reports_every_cache(verification_script):
     assert set(lines) == {builder.__name__ for builder, _ in CACHED_CALLS}
     info = bernoulli_kernel.cache_info()
     assert f"hits={info.hits:6d} misses={info.misses:6d}" in lines["bernoulli_kernel"]
+
+
+# --- prefix rule: a lower order is a truncation of the longest series built --
+
+PREFIX_GRID = [
+    *[(polylog_series, (k,)) for k in (-2, 0, 1, 3)],
+    *[(poly_bernoulli_kernel, (k,)) for k in (-2, 0, 1, 3)],
+    *[(bernoulli_kernel, (s,)) for s in (0, 1, 3)],
+    *[(euler_kernel, (s,)) for s in (0, 1, 3)],
+    *[
+        (frobenius_euler_kernel, (r, lam))
+        for r in (-2, 0, 3)
+        for lam in (Fraction(-3, 5), Fraction(2))
+    ],
+]
+
+
+@pytest.mark.parametrize(
+    "builder, params", PREFIX_GRID, ids=[f"{b.__name__}{p}" for b, p in PREFIX_GRID]
+)
+def test_raw_builds_truncate_exactly(builder, params):
+    # the memo serves order n from a longer build, so each raw builder's
+    # order-m series must truncate to its own order-n series
+    builds = [builder.__wrapped__(*params, order) for order in range(13)]
+    for m, longer in enumerate(builds):
+        for n in range(m):
+            assert longer.truncate(n) == builds[n], (m, n)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """A counter of kernel builds: every builder reaches `exp_series`, and
+    a series served from the memo does not."""
+    counter = {"calls": 0}
+    exp_series = families.exp_series
+
+    def counting(*args):
+        counter["calls"] += 1
+        return exp_series(*args)
+
+    monkeypatch.setattr(families, "exp_series", counting)
+    return counter
+
+
+memo_cases = pytest.mark.parametrize(
+    "builder, args", CACHED_CALLS, ids=[builder.__name__ for builder, _ in CACHED_CALLS]
+)
+
+
+@memo_cases
+def test_lower_orders_are_served_from_the_longest_build(builder, args, builds):
+    *params, m = args
+    fresh = [builder.__wrapped__(*params, n) for n in range(m + 3)]
+    builder.cache_clear()
+    builder(*params, m)
+    builds["calls"] = 0
+    assert [builder(*params, n) for n in range(m + 1)] == fresh[: m + 1]
+    assert builds["calls"] == 0
+    # a higher order is a miss that builds, and then serves the orders below
+    misses = builder.cache_info().misses
+    assert builder(*params, m + 2) == fresh[m + 2]
+    assert builds["calls"] > 0 and builder.cache_info().misses == misses + 1
+    builds["calls"] = 0
+    assert builder(*params, m + 1) == fresh[m + 1]
+    assert builds["calls"] == 0
+
+
+@memo_cases
+def test_invalid_orders_reach_the_builder_on_a_warm_cache(builder, args):
+    *params, m = args
+    builder(*params, m)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            builder(*params, -1)
+        with pytest.raises(TypeError):
+            builder(*params, 4.0)
+
+
+@memo_cases
+def test_cache_clear_empties_both_tables(builder, args, builds):
+    *params, m = args
+    builder(*params, m)
+    builder.cache_clear()
+    assert builder.cache_info().currsize == 0
+    builds["calls"] = 0
+    rebuilt = builder(*params, m - 1)
+    assert builds["calls"] > 0
+    assert rebuilt == builder.__wrapped__(*params, m - 1)
