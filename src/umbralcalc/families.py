@@ -52,7 +52,13 @@ misses, and ``__wrapped__`` is the raw builder.  The second keeps, per
 parameter tuple, the longest series built so far.  A miss at an int order
 0 <= n below that length is served as ``longest.truncate(n)``, without
 calling the builder; any other miss builds, and a longer series becomes
-the longest.  So requests at degrees 36, 12 and 30 build once.  A call
+the longest.  So requests at degrees 36, 12 and 30 build once, and the
+verifiers, which read one parameter tuple at neighbouring orders (thm3
+expands T^(r, k) to degree n_top + 1 and T^(r + 1, k), with the same
+poly-Bernoulli factor, to n_top; `poly_bernoulli_kernel` asks for its
+polylog one order up), build fewer kernels.  Each order served by
+truncation is an lru entry of its own, so the series kept per parameter
+tuple grow with the square of the longest order asked for.  A call
 that fails uncached (a negative or non-int order, lambda = 1, a float r)
 still reaches the builder and raises, and failed calls are never cached.
 ``cache_clear()`` empties both tables.
@@ -64,8 +70,12 @@ bug class, and the memo hides it from every call served by truncation.  A
 polylog mutant that drops the j = order term is wrong only at t^order;
 uncached, five verifiers catch it, but with the memo `verify thm3` and
 `verify thm4` run alone pass it, since they read truncations of longer
-builds (`verify all` still fails).  So `tests/test_families.py` compares
-each raw builder's truncations with its own lower-order builds.
+builds (`verify all` still fails).  Which checks read a direct build
+depends on what the process asked for before, so under such a defect the
+counterexamples reported can depend on the order of the calls and, with
+``--jobs`` > 1, on which worker ran which chunk.  So
+`tests/test_families.py` compares each raw builder's truncations with its
+own lower-order builds.
 
 Deliberately not cached: `mixed_kernel`, whose two factors are, so a
 repeat call costs one series product and keeps no third series per key;

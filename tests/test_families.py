@@ -204,22 +204,33 @@ def test_mixed_family_derivative_rule(r, k, lam):
         assert family[n].derivative() == n * family[n - 1]
 
 
+def _uncached(build, *args):
+    """``build(*args)`` with every kernel memo emptied first, so that no
+    factor is served as the truncation of an earlier, longer build."""
+    for builder, _ in CACHED_CALLS:
+        builder.cache_clear()
+    return build(*args)
+
+
 @pytest.mark.parametrize("n", [0, 1, 5])
 def test_families_truncate_exactly_at_the_degree(n):
     # expanding the kernel five orders further changes no coefficient
-    # through t^n, so the library's order-n expansion is exact
+    # through t^n, so the library's order-n expansion is exact; each side
+    # is built on emptied kernel memos, so the order-n side is not served
+    # as a truncation of the longer build
     lam = Fraction(-3, 5)
     cases = [
-        (bernoulli_kernel(2, n + 5), family_polys("bernoulli", n, 2)),
-        (euler_kernel(3, n + 5), family_polys("euler", n, 3)),
-        (frobenius_euler_kernel(-2, lam, n + 5), family_polys("frobenius-euler", n, -2, lam)),
-        (poly_bernoulli_kernel(-2, n + 5), family_polys("poly-bernoulli", n, -2)),
-        (poly_bernoulli_kernel(0, n + 5), family_polys("poly-bernoulli", n, 0)),
-        (mixed_kernel(-1, -2, lam, n + 5), family_polys("mixed-T", n, -1, -2, lam)),
-        (mixed_kernel(2, 3, Fraction(2), n + 5), family_polys("mixed-T", n, 2, 3, Fraction(2))),
+        (bernoulli_kernel, (2,), "bernoulli"),
+        (euler_kernel, (3,), "euler"),
+        (frobenius_euler_kernel, (-2, lam), "frobenius-euler"),
+        (poly_bernoulli_kernel, (-2,), "poly-bernoulli"),
+        (poly_bernoulli_kernel, (0,), "poly-bernoulli"),
+        (mixed_kernel, (-1, -2, lam), "mixed-T"),
+        (mixed_kernel, (2, 3, Fraction(2)), "mixed-T"),
     ]
-    for kernel, family in cases:
-        assert polys_from_kernel(kernel, n) == family
+    for kernel, params, family in cases:
+        longer = _uncached(kernel, *params, n + 5)
+        assert polys_from_kernel(longer, n) == _uncached(family_polys, family, n, *params)
 
 
 # --- integer expansion and polylogarithm against the series routes ----------
@@ -419,11 +430,11 @@ def test_full_verification_script_reports_every_cache(verification_script):
 PREFIX_GRID = [
     *[(polylog_series, (k,)) for k in (-2, 0, 1, 3)],
     *[(poly_bernoulli_kernel, (k,)) for k in (-2, 0, 1, 3)],
-    *[(bernoulli_kernel, (s,)) for s in (0, 1, 3)],
+    *[(bernoulli_kernel, (s,)) for s in (0, 1, 2, 3)],
     *[(euler_kernel, (s,)) for s in (0, 1, 3)],
     *[
         (frobenius_euler_kernel, (r, lam))
-        for r in (-2, 0, 3)
+        for r in (-2, 0, 2, 3)
         for lam in (Fraction(-3, 5), Fraction(2))
     ],
 ]
