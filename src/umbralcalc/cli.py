@@ -10,7 +10,10 @@ that cannot be written.
 
 Each command computes its values once and renders every output line
 from them, calling only the renderer of the requested format: a json/csv
-row per degree, or a LaTeX line.
+row per degree, or a LaTeX line.  Output cells are written straight from
+the integer rows the library stores (a polynomial's numerators over its
+denominator, a canonical row of connection constants), each entry
+reduced to lowest terms with one gcd and no `Fraction` made.
 
 Values starting with a dash (negative rationals, negative sets) are
 accepted both space-separated and in the equals form, e.g.
@@ -41,7 +44,7 @@ from .identities import (
     appell_pair,
     verify_all,
 )
-from .polynomials import Polynomial, _render, parse_rational
+from .polynomials import Polynomial, _lowest, _ratio_text, _render, parse_rational
 from .umbral import connection_rows
 
 FORMATS = ("json", "csv", "latex")
@@ -94,16 +97,22 @@ def _rational_set(text: str) -> tuple:
 # ---------------------------------------------------------------------------
 # LaTeX rendering
 
+def _latex_ratio(p: int, q: int) -> str:
+    """The rational p/q, in lowest terms with q positive (as
+    `polynomials._lowest` gives it), as "p" or "\\frac{|p|}{q}" signed."""
+    if q == 1:
+        return str(p)
+    sign = "-" if p < 0 else ""
+    return f"{sign}\\frac{{{abs(p)}}}{{{q}}}"
+
+
 def latex_rational(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    sign = "-" if q < 0 else ""
-    return f"{sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
+    return _latex_ratio(q.numerator, q.denominator)
 
 
 def latex_polynomial(p: Polynomial) -> str:
     """Descending powers; rational coefficients as \\frac{p}{q}."""
-    return _render(p, latex_rational, lambda k: f"x^{{{k}}}", " ")
+    return _render(p, _latex_ratio, lambda k: f"x^{{{k}}}", " ")
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +248,8 @@ def _run_table(args) -> int:
         label = POLY_FAMILIES[args.family].label
 
         def cells(n):
-            return [str(c) for c in polys[n].coefficients]
+            den = polys[n]._den
+            return [_ratio_text(*_lowest(c, den)) for c in polys[n]._num]
 
         def latex_line(n):
             return f"{label(args, n)} = {latex_polynomial(polys[n])}"
@@ -274,15 +284,16 @@ def _run_bases(args) -> int:
     order = max(args.n_max, 1)
     source = appell_pair(mixed_kernel(args.r, args.k, args.lam, order))
     (rows,) = connection_rows(source, [target.pair(args.s, args.mu, order)], args.n_max)
-    constants = [[Fraction(c, den) for c in nums] for nums, den in rows]
     params = _param_cells(args)
 
     def row(n):
+        nums, den = rows[n]
         return {"target": target_name, "n": n, **params,
-                "constants": [str(c) for c in constants[n]]}
+                "constants": [_ratio_text(*_lowest(c, den)) for c in nums]}
 
     def latex_line(n):
-        rendered = ", ".join(map(latex_rational, constants[n]))
+        nums, den = rows[n]
+        rendered = ", ".join(_latex_ratio(*_lowest(c, den)) for c in nums)
         return f"C_{{{n},\\cdot}} = \\left[{rendered}\\right]"
 
     fields = ("target", "n", *_PARAMS, "constants")

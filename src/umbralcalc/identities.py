@@ -26,8 +26,9 @@ recurrences, such as (x - r) T_n, stay `Polynomial` operations.
 
 A row of connection constants never becomes `Fraction` values: all three
 sides of ``bases`` give it as a canonical ``(numerators, denominator)``
-pair (`polynomials._canonical_row`), so rows compare as pairs and only a
-counterexample's text renders the fractions.  Only the scalar and row
+pair (`polynomials._canonical_row`), so rows compare as pairs, and a
+counterexample's text writes each entry from its integers
+(`polynomials._ratio_text`).  Only the scalar and row
 representations are shared with the `Polynomial` core; each side keeps
 its own formula and never calls the kernel expansion, pairing or
 triangular solve of the side it is compared with, so a comparison still
@@ -106,7 +107,9 @@ from .polynomials import (
     X,
     _canonical_row,
     _common_denominator,
+    _lowest,
     _make,
+    _ratio_text,
     falling_factorial,
     rising_factorial,
 )
@@ -216,7 +219,7 @@ def _side_text(side) -> str:
     if isinstance(side, tuple):
         # a row of connection constants as (numerators, denominator)
         nums, den = side
-        return "[" + ", ".join(str(Fraction(c, den)) for c in nums) + "]"
+        return "[" + ", ".join(_ratio_text(*_lowest(c, den)) for c in nums) + "]"
     return str(side)
 
 

@@ -13,9 +13,11 @@ numerators trimmed, ``gcd(den, *num) == 1``, the zero polynomial stored as
 ``((), 1)`` with degree -1 -- so equality is plain structural comparison,
 and every operation normalises its result with a single gcd instead of one
 per coefficient.  `Fraction` values are made only where coefficients leave
-the class (`coefficients`, `coefficient`, evaluation, rendering).  Values
-are immutable: every operation returns a new polynomial, so instances can
-be shared freely across threads.
+the class as numbers (`coefficients`, `coefficient`, evaluation).  Text is
+written straight from the integers: `_lowest` reduces one entry with one
+gcd, and `_ratio_text` writes it as "p" or "p/q", the text of its
+`Fraction`.  Values are immutable: every operation returns a new
+polynomial, so instances can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -151,10 +153,26 @@ def _power(base, exponent: int, one):
     return result
 
 
+def _lowest(c: int, den: int) -> tuple:
+    """c/den in lowest terms as (numerator, denominator), for a positive
+    ``den``; zero is (0, 1)."""
+    if den == 1:
+        return c, 1
+    g = gcd(c, den)
+    return c // g, den // g
+
+
+def _ratio_text(p: int, q: int) -> str:
+    """The rational p/q, in lowest terms with q positive (as `_lowest`
+    gives it), written as `str` writes its `Fraction`: "p", or "p/q"."""
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
 def _render(p: "Polynomial", number, power, joiner: str) -> str:
     """The nonzero terms of p in descending powers, "-" or "+" between
-    them: a coefficient's magnitude written by ``number``, x^k for k >= 2
-    by ``power(k)``, and ``joiner`` between a coefficient other than 1 and
+    them: a coefficient's magnitude, in lowest terms as `_lowest` gives
+    it, written by ``number(numerator, denominator)``, x^k for k >= 2 by
+    ``power(k)``, and ``joiner`` between a coefficient other than 1 and
     its power of x."""
     den = p._den
     text = ""
@@ -162,12 +180,12 @@ def _render(p: "Polynomial", number, power, joiner: str) -> str:
         c = p._num[k]
         if not c:
             continue
-        mag = Fraction(abs(c), den)
+        mag = _lowest(abs(c), den)
         if k == 0:
-            body = number(mag)
+            body = number(*mag)
         else:
             var = "x" if k == 1 else power(k)
-            body = var if mag == 1 else f"{number(mag)}{joiner}{var}"
+            body = var if mag == (1, 1) else f"{number(*mag)}{joiner}{var}"
         if text:
             text += f" {'-' if c < 0 else '+'} {body}"
         else:
@@ -330,7 +348,7 @@ class Polynomial:
         return f"Polynomial([{', '.join(str(c) for c in self.coefficients)}])"
 
     def __str__(self):
-        return _render(self, str, lambda k: f"x^{k}", "*")
+        return _render(self, _ratio_text, lambda k: f"x^{k}", "*")
 
 
 #: The polynomial x.

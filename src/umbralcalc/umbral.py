@@ -15,10 +15,11 @@ solve route inverts a triangular basis once, `monomial_expansion`, so
 that expressing any polynomial in it is one integer row-times-matrix
 product, `solve_rows`.  Both give each row as a canonical
 ``(numerators, denominator)`` pair: the ``bases`` verifier compares rows
-as pairs, and the command line makes one `Fraction` per constant from
-the pairing route's rows.  `sheffer_polynomials` reads the pairing route
-too: by Roman's coefficient formula, the rows into the monomial pair
-(1, t) are the coefficients of the Sheffer polynomials.
+as pairs, and the command line writes each constant of the pairing
+route's rows as text straight from its integers.  `sheffer_polynomials`
+reads the pairing route too: by Roman's coefficient formula, the rows
+into the monomial pair (1, t) are the coefficients of the Sheffer
+polynomials.
 Only the row representation is shared: the pairing route reads only
 the two Sheffer pairs and the solve route only the integer numerators of
 the polynomials and the basis.  Neither calls the other or any

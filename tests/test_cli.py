@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from umbralcalc.cli import POLY_FAMILIES, latex_polynomial, latex_rational, main
 from umbralcalc.families import KERNELS
@@ -202,6 +203,62 @@ def test_latex_rendering_helpers():
     assert latex_polynomial(poly) == "x^{2} - x + \\frac{1}{6}"
     assert latex_polynomial(Polynomial()) == "0"
     assert latex_polynomial(Polynomial([0, Fraction(-2, 3)])) == "-\\frac{2}{3} x"
+
+
+def fraction_latex(q):
+    """Reference: q written from its `Fraction` as a LaTeX number."""
+    if q.denominator == 1:
+        return str(q.numerator)
+    return f"{'-' if q < 0 else ''}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
+
+
+def fraction_latex_polynomial(p):
+    """Reference: p in descending powers written from its `Fraction`
+    coefficients, zeros skipped and a unit coefficient left out."""
+    text = ""
+    for k in range(p.degree, -1, -1):
+        c = p.coefficients[k]
+        if not c:
+            continue
+        mag = abs(c)
+        if k == 0:
+            body = fraction_latex(mag)
+        else:
+            var = "x" if k == 1 else f"x^{{{k}}}"
+            body = var if mag == 1 else f"{fraction_latex(mag)} {var}"
+        if text:
+            text += f" {'-' if c < 0 else '+'} {body}"
+        else:
+            text = "-" + body if c < 0 else body
+    return text or "0"
+
+
+@given(st.fractions())
+@example(Fraction(0))
+@example(Fraction(-7))
+@example(Fraction(-3, 5))
+def test_latex_rational_matches_the_fraction_reference(q):
+    assert latex_rational(q) == fraction_latex(q)
+
+
+@given(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6), max_size=6))
+@example([])
+@example([1, 0, -1])
+@example([Fraction(-1, 2), -1, 0, 1])
+def test_latex_polynomial_matches_the_fraction_reference(coeffs):
+    p = Polynomial(coeffs)
+    assert latex_polynomial(p) == fraction_latex_polynomial(p)
+
+
+@pytest.mark.parametrize("fmt", ["json", "latex"])
+def test_table_past_the_integer_digit_limit_exits_2(fmt, capsys):
+    # numerators of index-1000 poly-Bernoulli coefficients pass Python's
+    # digit limit on int-to-str conversion; writing one raises ValueError
+    argv = ["table", "--family", "poly-bernoulli", "--k", "1000", "--n-max", "12",
+            "--format", fmt]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
 
 
 def test_verify_stdout_is_byte_deterministic(capsys):

@@ -2,12 +2,14 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from umbralcalc.polynomials import (
     Polynomial,
     X,
     _common_denominator,
+    _lowest,
+    _ratio_text,
     falling_factorial,
     parse_rational,
     rising_factorial,
@@ -31,6 +33,28 @@ def derivative_at(p, a):
     for c in quotient:
         value = value * a + c
     return value
+
+
+def fraction_render(p):
+    """Reference text of p, written the way `str` wrote it when every
+    coefficient was rendered as a `Fraction`: nonzero terms in descending
+    powers, a unit coefficient left out before x or x^k."""
+    text = ""
+    for k in range(p.degree, -1, -1):
+        c = p.coefficients[k]
+        if not c:
+            continue
+        mag = abs(c)
+        if k == 0:
+            body = str(mag)
+        else:
+            var = "x" if k == 1 else f"x^{k}"
+            body = var if mag == 1 else f"{mag}*{var}"
+        if text:
+            text += f" {'-' if c < 0 else '+'} {body}"
+        else:
+            text = "-" + body if c < 0 else body
+    return text or "0"
 
 
 def test_eval_examples():
@@ -106,6 +130,22 @@ def test_rendering_and_serialization():
     assert parse_rational("-3/5") == Fraction(-3, 5)
     with pytest.raises(ValueError):
         parse_rational("not-a-number")
+
+
+@given(st.integers(), st.integers(min_value=1))
+@example(0, 1)
+@example(0, 6)
+@example(-7, 1)
+@example(-4, 6)
+def test_ratio_text_is_the_text_of_the_fraction(c, d):
+    q = Fraction(c, d)
+    assert _lowest(c, d) == (q.numerator, q.denominator)
+    assert _ratio_text(*_lowest(c, d)) == str(q)
+
+
+@given(polys)
+def test_str_matches_the_fraction_renderer(p):
+    assert str(p) == fraction_render(p)
 
 
 @given(polys, polys, rationals)
